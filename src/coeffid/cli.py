@@ -487,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     pverify.set_defaults(run=_cmd_pw2d_verify)
     precover = psub.add_parser(
         "recover",
-        help="recover per-block constants from a measured field by coordinate descent",
+        help="recover per-block constants from a measured field: equation-error start, "
+        "then Gauss-Newton steps on the gradient misfit (the report's sweeps counts the steps)",
     )
     precover.add_argument("--truth", required=True, help="json file {nx, ny, coeffs}")
     precover.add_argument("--m", type=int, default=64)

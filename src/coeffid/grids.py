@@ -222,6 +222,13 @@ class GridFunction1D:
                 vs.append(float(row[1]))
         if len(xs) < 2:
             raise ValueError(f"not enough rows in {path}")
+        # the grid is uniform, so x must match its nodes to rounding
+        x = np.asarray(xs)
+        n = x.size - 1
+        dev = float(np.abs(x - np.linspace(x[0], x[-1], n + 1)).max())
+        if not dev <= 4 * n * np.spacing(max(abs(x[0]), abs(x[-1]))):
+            raise ValueError(f"x column in {path} is not uniformly spaced "
+                             f"(deviates by {dev:.3g} from a uniform grid)")
         return cls(Interval(xs[0], xs[-1]), np.asarray(vs))
 
 

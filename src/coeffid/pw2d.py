@@ -3,15 +3,19 @@ discrete H^-1 block norms, verification of the per-block stability bound
 
     |a_i - b_i| * |f|_{H^-1(D_i)}  <=  Lam^2 * |grad(u_a - u_b)|_{L2(D_i)},
 
-and per-block coefficient recovery by coordinate descent.
+and recovery of the block constants from one measured solution.
 
 The mesh is uniform, m x m square cells split into two right triangles each.
 When m resolves the block partition, multiplying a test function supported in
 one block by a constant keeps it in the discrete space, so the inequality
-above holds exactly at the discrete level (up to solver tolerance) when the
-H^-1 norm is realized by its discrete Riesz representative on the same mesh.
-The verification report still carries the documented slack factor 1 + c/m for
-the continuum reading.
+above holds exactly at the discrete level (up to rounding) when the H^-1 norm
+is realized by its discrete Riesz representative on the same mesh. The
+verification report still carries the documented slack factor 1 + c/m for the
+continuum reading.
+
+Every linear solve is a sparse LU factorization (symmetric minimum-degree
+ordering) followed by triangular solves; a factor is reused for every
+right-hand side that shares its matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import cg
+from scipy.sparse.linalg import splu
 
 from .grids import CoefficientBounds
 from .report import ExperimentReport
@@ -41,10 +45,9 @@ __all__ = [
     "field_to_json_dict",
 ]
 
-CG_RTOL = 1e-10
-
 _G1 = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
 _G2 = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0], [-1.0, -1.0, 2.0]])
+_STIFF = np.stack([_G1, _G2]) * 0.5
 _MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 
 
@@ -118,17 +121,24 @@ def _box_triangles(mx: int, my: int) -> np.ndarray:
     return tri
 
 
-def _assemble(tri: np.ndarray, local: np.ndarray, coef: np.ndarray, nnodes: int) -> sp.csr_matrix:
-    """Sum coef[t] * local over triangles t into a sparse matrix; local
-    alternates between the two triangle orientations when given shape (2,3,3)."""
+def _assemble(tri: np.ndarray, local: np.ndarray, nnodes: int) -> sp.csr_matrix:
+    """Sum local over triangles t into a sparse matrix without stored zeros;
+    local alternates between the two triangle orientations when given shape
+    (2,3,3), so tri must list each cell's two triangles consecutively."""
     ntri = tri.shape[0]
     if local.ndim == 2:
         local = np.stack([local, local])
-    per_tri = local[np.arange(ntri) % 2] * coef[:, None, None]
+    per_tri = local[np.arange(ntri) % 2]
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
-    mat = sp.coo_matrix((per_tri.ravel(), (rows, cols)), shape=(nnodes, nnodes))
-    return mat.tocsr()
+    mat = sp.coo_matrix((per_tri.ravel(), (rows, cols)), shape=(nnodes, nnodes)).tocsr()
+    mat.eliminate_zeros()
+    return mat
+
+
+def _factor(K: sp.spmatrix):
+    """Sparse LU of a symmetric positive definite stiffness matrix."""
+    return splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
 
 
 class _Workspace:
@@ -158,20 +168,18 @@ class _Workspace:
         cell_block = by * nx + bx
         self.tri_block = np.repeat(cell_block, 2)
 
-        pattern = np.stack([_G1, _G2]) * 0.5
-        ntri = tri.shape[0]
-        self.stiff_blocks = []
-        for blk in range(nx * ny):
-            coef = (self.tri_block == blk).astype(float)
-            self.stiff_blocks.append(_assemble(tri, pattern, coef, nn))
-        area = 0.5 * self.h * self.h
-        self.mass = _assemble(tri, _MASS * area, np.ones(ntri), nn)
-
         ix = np.arange(nn) % (m + 1)
         iy = np.arange(nn) // (m + 1)
         self.boundary = (ix == 0) | (ix == m) | (iy == 0) | (iy == m)
         self.interior = np.nonzero(~self.boundary)[0]
-        self.stiff_blocks_int = [K[self.interior][:, self.interior].tocsr() for K in self.stiff_blocks]
+        inner = self.interior
+        # each block over its own triangles only, restricted to interior nodes
+        self.stiff_blocks_int = [
+            _assemble(tri[self.tri_block == blk], _STIFF, nn)[inner][:, inner].tocsr()
+            for blk in range(nx * ny)
+        ]
+        self.laplacian = _assemble(tri, _STIFF, nn)
+        self.mass = _assemble(tri, _MASS * (0.5 * self.h * self.h), nn)
 
     def stiffness(self, coeffs: np.ndarray) -> sp.csr_matrix:
         K = coeffs[0] * self.stiff_blocks_int[0]
@@ -201,11 +209,12 @@ class FemSystem:
 
 def as_nodal_field(f, m: int) -> np.ndarray:
     """Normalize a source input (constant, callable of (x, y), or nodal array)
-    to an (m+1, m+1) array indexed [iy, ix]."""
+    to an (m+1, m+1) array indexed [iy, ix]. A callable's result is
+    broadcast, so one that returns a scalar gives a constant field."""
     if callable(f):
         xs = np.linspace(0.0, 1.0, m + 1)
         X, Y = np.meshgrid(xs, xs, indexing="xy")
-        return np.asarray(f(X, Y), dtype=float)
+        return np.broadcast_to(np.asarray(f(X, Y), dtype=float), X.shape)
     arr = np.asarray(f, dtype=float)
     if arr.ndim == 0:
         return np.full((m + 1, m + 1), float(arr))
@@ -221,24 +230,13 @@ def build_system(a: PwConstCoefficient, f, m: int) -> FemSystem:
     return FemSystem(m=m, stiffness=K, load=b_full[ws.interior], interior=ws.interior)
 
 
-def _cg_solve(K: sp.csr_matrix, b: np.ndarray, rtol: float, x0=None) -> np.ndarray:
-    if not b.any():
-        return np.zeros_like(b)
-    d = K.diagonal()
-    precond = sp.diags(1.0 / d)
-    x, info = cg(K, b, x0=x0, rtol=rtol, atol=0.0, M=precond, maxiter=20 * b.size)
-    if info != 0:
-        raise RuntimeError(f"conjugate gradient failed to converge (info={info})")
-    return x
-
-
-def fem_solve(a: PwConstCoefficient, f, m: int, rtol: float = CG_RTOL) -> np.ndarray:
+def fem_solve(a: PwConstCoefficient, f, m: int) -> np.ndarray:
     """P1 Galerkin solution with homogeneous Dirichlet data, returned as an
     (m+1, m+1) nodal array (zeros on the boundary)."""
     ws = _workspace(a.partition.nx, a.partition.ny, m)
     system = build_system(a, f, m)
     u = np.zeros(ws.n_nodes)
-    u[system.interior] = _cg_solve(system.stiffness, system.load, rtol)
+    u[system.interior] = _factor(system.stiffness).solve(system.load)
     return u.reshape(m + 1, m + 1)
 
 
@@ -258,9 +256,24 @@ def grad_norm_by_block(u: np.ndarray, partition: Partition2D, m: int) -> np.ndar
     return np.sqrt(per_block)
 
 
-def hminus1_norm(f, partition: Partition2D, block: int, m: int, rtol: float = CG_RTOL) -> float:
+@lru_cache(maxsize=16)
+def _block_laplacian(mx: int, my: int, m: int):
+    """Interior Laplacian of one mx x my cell block at mesh width 1/m, its
+    factor, and the interior rows of the block mass matrix."""
+    tri = _box_triangles(mx, my)
+    nn = (mx + 1) * (my + 1)
+    ix = np.arange(nn) % (mx + 1)
+    iy = np.arange(nn) // (mx + 1)
+    interior = np.nonzero((ix > 0) & (ix < mx) & (iy > 0) & (iy < my))[0]
+    K = _assemble(tri, _STIFF, nn)[interior][:, interior].tocsr()
+    M = _assemble(tri, _MASS * (0.5 / (m * m)), nn)[interior]
+    return K, _factor(K), M
+
+
+def hminus1_norm(f, partition: Partition2D, block: int, m: int) -> float:
     """Discrete H^-1 norm of f on one block: solve -Lap w = f with zero data
-    on the block boundary and return |grad w|_{L2(block)}."""
+    on the block boundary and return |grad w|_{L2(block)}. Every block of a
+    uniform partition shares one local matrix, factored once per (mx, my, m)."""
     if not 0 <= block < partition.n_blocks:
         raise ValueError(f"block must lie in [0, {partition.n_blocks})")
     if m % partition.nx or m % partition.ny:
@@ -271,21 +284,9 @@ def hminus1_norm(f, partition: Partition2D, block: int, m: int, rtol: float = CG
 
     field = as_nodal_field(f, m)
     sub = field[by * my : by * my + my + 1, bx * mx : bx * mx + mx + 1]
-
-    tri = _box_triangles(mx, my)
-    nn = (mx + 1) * (my + 1)
-    pattern = np.stack([_G1, _G2]) * 0.5
-    K = _assemble(tri, pattern, np.ones(tri.shape[0]), nn)
-    h = 1.0 / m
-    M = _assemble(tri, _MASS * (0.5 * h * h), np.ones(tri.shape[0]), nn)
-
-    ix = np.arange(nn) % (mx + 1)
-    iy = np.arange(nn) // (mx + 1)
-    interior = np.nonzero((ix > 0) & (ix < mx) & (iy > 0) & (iy < my))[0]
-    b = (M @ sub.ravel())[interior]
-    K_int = K[interior][:, interior].tocsr()
-    w = _cg_solve(K_int, b, rtol)
-    return float(math.sqrt(max(w @ (K_int @ w), 0.0)))
+    K, lu, M = _block_laplacian(mx, my, m)
+    w = lu.solve(M @ sub.ravel())
+    return float(math.sqrt(max(w @ (K @ w), 0.0)))
 
 
 def verify_pw_bound(
@@ -295,7 +296,6 @@ def verify_pw_bound(
     m: int,
     bounds: CoefficientBounds | None = None,
     slack_coef: float = 5.0,
-    rtol: float = CG_RTOL,
     block_hminus1: np.ndarray | None = None,
 ) -> ExperimentReport:
     """Per-block two-sided check of the stability bound.
@@ -310,13 +310,11 @@ def verify_pw_bound(
     part = a.partition
     Lam = bounds.Lam if bounds is not None else float(max(a.coeffs.max(), b.coeffs.max()))
 
-    u_a = fem_solve(a, f, m, rtol)
-    u_b = fem_solve(b, f, m, rtol)
+    u_a = fem_solve(a, f, m)
+    u_b = fem_solve(b, f, m)
     rhs = Lam * Lam * grad_norm_by_block(u_a - u_b, part, m)
     if block_hminus1 is None:
-        block_hminus1 = np.array(
-            [hminus1_norm(f, part, i, m, rtol) for i in range(part.n_blocks)]
-        )
+        block_hminus1 = np.array([hminus1_norm(f, part, i, m) for i in range(part.n_blocks)])
     lhs = np.abs(a.coeffs - b.coeffs) * block_hminus1
 
     tiny = 1e-300
@@ -340,33 +338,15 @@ def verify_pw_bound(
 
 @dataclass(eq=False)
 class PwRecovery:
-    """Recovered piecewise-constant coefficient plus descent diagnostics."""
+    """Recovered piecewise-constant coefficient plus solver diagnostics:
+    sweeps counts Gauss-Newton steps, objective is the final misfit
+    |grad(u(a) - u_meas)|_{L2}."""
 
     coeff: PwConstCoefficient
     converged: bool
     warning: str | None
     sweeps: int
     objective: float
-
-
-def _golden_min(fun, lo: float, hi: float, tol: float = 1e-7):
-    """Golden-section minimizer on [lo, hi], deterministic."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = fun(c)
-    fd = fun(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return (a + b) / 2.0
 
 
 def recover_pw(
@@ -377,22 +357,27 @@ def recover_pw(
     m: int,
     max_sweeps: int = 50,
     sweep_tol: float = 1e-10,
-    rtol: float = CG_RTOL,
 ) -> PwRecovery:
-    """Coordinate descent over blocks: golden-section search of each a_i in
-    [lam, Lam] minimizing the block-local gradient misfit against u_meas.
+    """Block constants a in [lam, Lam] minimizing |grad(u(a) - u_meas)|_{L2}^2.
 
-    Blocks are visited in id (row-major) order; sweeps stop when the global
-    misfit improves by less than sweep_tol or after max_sweeps. When f carries
-    no energy on some block (min block H^-1 norm is zero) the problem is not
-    identifiable there; the result then holds midpoint values and a warning.
+    The start is the equation-error solution: sum_i a_i K_i u = b is linear in
+    a, so a least-squares fit with u = u_meas, clipped to [lam, Lam], recovers
+    exact data outright. Projected Gauss-Newton steps on the output misfit
+    then keep the result stable under noise. Each step factors K(a) once and
+    reads the state and all block sensitivities -K^{-1} K_i u off that factor;
+    a step that raises the misfit is halved. Steps stop, converged, when the
+    misfit falls by at most sweep_tol relative to its value or the step is
+    below 1e-12; after max_sweeps steps the result carries a warning. When f
+    carries no energy on some block (min block H^-1 norm is zero) the problem
+    is not identifiable there; the result then holds midpoint values and a
+    warning.
     """
     ws = _workspace(partition.nx, partition.ny, m)
     u_flat = np.asarray(u_meas, dtype=float).ravel()
     if u_flat.size != ws.n_nodes:
         raise ValueError("u_meas does not match the mesh")
 
-    hm = np.array([hminus1_norm(f, partition, i, m, rtol) for i in range(partition.n_blocks)])
+    hm = np.array([hminus1_norm(f, partition, i, m) for i in range(partition.n_blocks)])
     mid = 0.5 * (bounds.lam + bounds.Lam)
     if hm.min() <= 1e-12 * (1.0 + hm.max()):
         return PwRecovery(
@@ -403,46 +388,49 @@ def recover_pw(
             objective=0.0,
         )
 
-    b_int = (ws.mass @ as_nodal_field(f, m).ravel())[ws.interior]
-    coeffs = np.full(partition.n_blocks, mid)
-    state = {"x0": None}
+    nb = partition.n_blocks
+    inner = ws.interior
+    b_int = (ws.mass @ as_nodal_field(f, m).ravel())[inner]
+    A = np.column_stack([Kb @ u_flat[inner] for Kb in ws.stiff_blocks_int])
+    coeffs = np.clip(np.linalg.lstsq(A, b_int, rcond=None)[0], bounds.lam, bounds.Lam)
 
-    def misfit_by_block(c: np.ndarray) -> np.ndarray:
-        K = ws.stiffness(c)
-        x = _cg_solve(K, b_int, rtol, x0=state["x0"])
-        state["x0"] = x
-        u = np.zeros(ws.n_nodes)
-        u[ws.interior] = x
-        return grad_norm_by_block(u - u_flat, partition, m)
+    def linearize(c: np.ndarray):
+        """Misfit J(c) with its Gauss-Newton gradient and normal matrix, from
+        one factorization: column 0 of Z is u(c) - u_meas, the rest du/dc_i."""
+        lu = _factor(ws.stiffness(c))
+        x = lu.solve(b_int)
+        Z = np.zeros((ws.n_nodes, nb + 1))
+        Z[:, 0] = -u_flat
+        Z[inner, 0] += x
+        Z[inner, 1:] = -lu.solve(np.column_stack([Kb @ x for Kb in ws.stiff_blocks_int]))
+        gram = Z.T @ (ws.laplacian @ Z)
+        return max(gram[0, 0], 0.0), gram[1:, 0], gram[1:, 1:]
 
-    def total(c: np.ndarray) -> float:
-        return float(np.sqrt((misfit_by_block(c) ** 2).sum()))
-
-    objective = total(coeffs)
+    J, g, G = linearize(coeffs)
     converged = False
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        for blk in range(partition.n_blocks):
-
-            def local(ai: float, blk=blk) -> float:
-                trial = coeffs.copy()
-                trial[blk] = ai
-                return float(misfit_by_block(trial)[blk])
-
-            coeffs[blk] = _golden_min(local, bounds.lam, bounds.Lam)
-        cur = total(coeffs)
-        improvement = objective - cur
-        objective = min(objective, cur)
-        if improvement < sweep_tol:
+    steps = 0
+    for steps in range(1, max_sweeps + 1):
+        delta = np.linalg.solve(G, -g)
+        while True:
+            trial = np.clip(coeffs + delta, bounds.lam, bounds.Lam)
+            step = float(np.abs(trial - coeffs).max())
+            J_new, g_new, G_new = linearize(trial)
+            if J_new <= J or step < 1e-12:
+                break
+            delta = 0.5 * delta
+        settled = J - J_new <= sweep_tol * J or step < 1e-12
+        if J_new <= J:
+            coeffs, J, g, G = trial, J_new, g_new, G_new
+        if settled:
             converged = True
             break
 
     return PwRecovery(
         coeff=PwConstCoefficient(partition, coeffs),
         converged=converged,
-        warning=None if converged else f"descent did not settle within {max_sweeps} sweeps",
-        sweeps=sweeps,
-        objective=objective,
+        warning=None if converged else f"Gauss-Newton did not settle within {max_sweeps} steps",
+        sweeps=steps,
+        objective=math.sqrt(J),
     )
 
 

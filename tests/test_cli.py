@@ -70,6 +70,15 @@ def test_recover_roundtrip_via_csv(tmp_path):
     assert err < 5e-3
 
 
+def test_recover_rejects_nonuniform_csv_grid(tmp_path, capsys):
+    du_path = tmp_path / "du.csv"
+    du_path.write_text("x,value\n0,1\n0.1,1\n0.9,1\n1,1\n")
+    code = run(["recover", "--du", f"csv:{du_path}", "--f", "const:1",
+                "--lambda", "0.5", "--Lambda", "2"])
+    assert code == 2
+    assert "uniformly spaced" in capsys.readouterr().err
+
+
 def test_exponents_uniform_source(tmp_path):
     out = tmp_path / "exp"
     assert run(["exponents", "--f", "const:1", "--n", "2048", "--out", str(out)]) == 0

@@ -223,3 +223,19 @@ def test_csv_rejects_bad_header(tmp_path):
     p.write_text("a,b\n0,1\n1,2\n")
     with pytest.raises(ValueError, match="header"):
         GridFunction1D.from_csv(p)
+
+
+def test_csv_rejects_nonuniform_x(tmp_path):
+    p = tmp_path / "skewed.csv"
+    p.write_text("x,value\n0,1\n0.1,2\n0.9,3\n1,4\n")
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        GridFunction1D.from_csv(p)
+
+
+def test_csv_accepts_decimal_uniform_x(tmp_path):
+    p = tmp_path / "decimal.csv"
+    p.write_text("x,value\n" + "".join(f"{i / 10},{i}\n" for i in range(11)))
+    g = GridFunction1D.from_csv(p)
+    assert g.interval == UNIT
+    assert g.n == 10
+    assert np.array_equal(g.values, np.arange(11.0))

@@ -1,5 +1,5 @@
 """P1 FEM on the unit square: manufactured solutions, the discrete H^-1
-realization, the per-block stability bound, and coordinate-descent recovery."""
+realization, the per-block stability bound, and Gauss-Newton recovery."""
 
 import numpy as np
 import pytest
@@ -86,11 +86,14 @@ def test_manufactured_solution_second_order():
 
 def test_galerkin_residual_small():
     system = build_system(const_coeff(1.0), 1.0, 32)
-    from coeffid.pw2d import _cg_solve
-
-    x = _cg_solve(system.stiffness, system.load, 1e-10)
+    x = fem_solve(const_coeff(1.0), 1.0, 32).ravel()[system.interior]
     r = system.load - system.stiffness @ x
     assert np.abs(r).max() < 1e-9
+
+
+def test_callable_source_returning_scalar_is_broadcast():
+    a = const_coeff(1.0, Partition2D(2, 2))
+    assert np.array_equal(fem_solve(a, lambda x, y: 1.0, 16), fem_solve(a, 1.0, 16))
 
 
 def test_monotone_dependence_on_coefficient():
@@ -161,6 +164,40 @@ def test_recover_roundtrip_2x2():
     res = recover_pw(u_meas, 1.0, part, BOUNDS, 32)
     assert res.converged
     assert np.abs(res.coeff.coeffs - truth.coeffs).max() < 1e-3
+
+
+def test_recover_exact_data_to_rounding():
+    part = Partition2D(2, 2)
+    truth = PwConstCoefficient(part, np.array([1.0, 1.5, 0.8, 1.2]))
+    res = recover_pw(fem_solve(truth, 1.0, 32), 1.0, part, BOUNDS, 32)
+    assert res.converged
+    assert res.warning is None
+    assert np.abs(res.coeff.coeffs - truth.coeffs).max() < 1e-8
+
+
+def test_recover_noisy_data_error_near_noise_level():
+    part = Partition2D(2, 2)
+    truth = PwConstCoefficient(part, np.array([1.0, 1.5, 0.8, 1.2]))
+    m = 32
+    u = fem_solve(truth, 1.0, m)
+    z = np.random.default_rng(2024).standard_normal(u.shape)
+    u_noisy = u * (1.0 + 1e-3 * z / np.sqrt(np.mean(z * z)))
+    res = recover_pw(u_noisy, 1.0, part, BOUNDS, m)
+    assert res.converged
+    assert res.coeff.admissible(BOUNDS)
+    assert np.abs(res.coeff.coeffs - truth.coeffs).max() <= 1e-2
+
+
+def test_recover_truth_on_lower_bound_stays_admissible():
+    part = Partition2D(2, 2)
+    truth = PwConstCoefficient(part, np.array([BOUNDS.lam, 1.5, 0.8, 1.2]))
+    m = 32
+    u = fem_solve(truth, 1.0, m)
+    z = np.random.default_rng(7).standard_normal(u.shape)
+    res = recover_pw(u * (1.0 + 1e-3 * z), 1.0, part, BOUNDS, m)
+    assert res.converged
+    assert res.coeff.admissible(BOUNDS)
+    assert np.abs(res.coeff.coeffs - truth.coeffs).max() <= 1e-2
 
 
 def test_recover_constant_truth_snaps_immediately():

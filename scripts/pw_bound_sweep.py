@@ -4,6 +4,8 @@ and mesh resolutions, recording the worst ratio lhs/rhs per m.
 
 The ratio stays below 1 up to solver tolerance because the discrete problem
 satisfies the same inequality as the continuum one.
+Each row reads its slack 1 + SLACK_COEF/m and its pass flag off the
+verify_pw_bound reports; the script exits 1 when any row fails.
 
 Usage:
     python scripts/pw_bound_sweep.py --trials 25 --out ratios.csv
@@ -17,7 +19,7 @@ from coeffid.grids import CoefficientBounds
 from coeffid.pw2d import Partition2D, PwConstCoefficient, hminus1_norm, verify_pw_bound
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=25)
     ap.add_argument("--seed", type=int, default=0)
@@ -25,21 +27,28 @@ def main() -> None:
     ap.add_argument("--ny", type=int, default=2)
     ap.add_argument("--out", type=str, default=None)
     args = ap.parse_args()
+    if args.trials < 1:
+        ap.error("--trials must be at least 1")
 
     part = Partition2D(args.nx, args.ny)
     bounds = CoefficientBounds(0.5, 2.0)
     rows = []
+    all_passed = True
     for m in (16, 32, 64, 128):
         rng = np.random.default_rng(args.seed)
         hm = np.array([hminus1_norm(1.0, part, i, m) for i in range(part.n_blocks)])
         worst = 0.0
+        passed = True
         for _ in range(args.trials):
             a = PwConstCoefficient(part, rng.uniform(bounds.lam, bounds.Lam, part.n_blocks))
             b = PwConstCoefficient(part, rng.uniform(bounds.lam, bounds.Lam, part.n_blocks))
             rep = verify_pw_bound(a, b, 1.0, m, bounds=bounds, block_hminus1=hm)
             worst = max(worst, rep.metrics["max_ratio"])
-        rows.append((m, worst, 1.0 + 5.0 / m))
-        print(f"m={m:4d}  worst ratio {worst:.4f}  slack {1 + 5.0 / m:.4f}")
+            passed = passed and rep.passed
+        slack = rep.inputs["slack"]
+        rows.append((m, worst, slack))
+        all_passed = all_passed and passed
+        print(f"m={m:4d}  worst ratio {worst:.4f}  slack {slack:.4f}  {'ok' if passed else 'FAIL'}")
 
     if args.out:
         with open(args.out, "w") as fh:
@@ -47,7 +56,8 @@ def main() -> None:
             for m, worst, slack in rows:
                 fh.write(f"{m},{worst:.17g},{slack:.17g}\n")
         print(f"wrote {args.out}")
+    return 0 if all_passed else 1
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -8,7 +8,6 @@ from .grids import (
     CoefficientBounds,
     GridFunction1D,
     Interval,
-    LpNorm,
     admissible,
     derivative,
     lp_norm,
@@ -45,7 +44,6 @@ __all__ = [
     "Interval",
     "GridFunction1D",
     "CoefficientBounds",
-    "LpNorm",
     "quadrature",
     "lp_norm",
     "derivative",

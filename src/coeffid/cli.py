@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -47,35 +45,10 @@ from .stability import (
     ExponentFit,
     dyadic_rate,
     fit_exponents,
-    holder_exponent,
     verify_holder,
 )
 
-__all__ = ["main", "RunConfig"]
-
-
-@dataclass
-class RunConfig:
-    """Uniform run settings shared by the subcommands."""
-
-    seed: int | None = None
-    n: int | None = None
-    out: str | None = None
-    fmt: str = "both"
-    threads: int | None = None
-    tolerances: dict = field(default_factory=dict)
-    argv: tuple = ()
-
-
-def _threads_from_env() -> int | None:
-    raw = os.environ.get("COEFFID_THREADS")
-    if not raw:
-        return None
-    try:
-        v = int(raw)
-    except ValueError:
-        return None
-    return v if v > 0 else None
+__all__ = ["main"]
 
 
 def _parse_grid_function(literal: str, interval: Interval, n: int) -> GridFunction1D:
@@ -94,19 +67,19 @@ def _parse_grid_function(literal: str, interval: Interval, n: int) -> GridFuncti
     raise ValueError(f"unknown function literal kind {kind!r} (use const/linear/csv/json)")
 
 
-def _emit(cfg: RunConfig, stem: str, report: ExperimentReport, extra: dict | None = None) -> None:
+def _emit(args, stem: str, report: ExperimentReport, extra: dict | None = None) -> None:
     """Write or print the report; extra maps filename -> text payload."""
-    if cfg.out is None:
+    if args.out is None:
         print(report.to_json())
         return
-    outdir = Path(cfg.out)
+    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     written = {}
-    if cfg.fmt in ("json", "both"):
+    if args.fmt in ("json", "both"):
         data = report.to_json().encode()
         (outdir / f"{stem}.json").write_bytes(data)
         written[f"{stem}.json"] = hashlib.sha256(data).hexdigest()
-    if cfg.fmt in ("csv", "both") and report.curves:
+    if args.fmt in ("csv", "both") and report.curves:
         data = report.curves_csv().encode()
         (outdir / f"{stem}.csv").write_bytes(data)
         written[f"{stem}.csv"] = hashlib.sha256(data).hexdigest()
@@ -116,7 +89,7 @@ def _emit(cfg: RunConfig, stem: str, report: ExperimentReport, extra: dict | Non
         written[name] = hashlib.sha256(data).hexdigest()
     # the output location is not an input: dropping it keeps manifests
     # byte-identical across reruns into different directories
-    argv = list(cfg.argv)
+    argv = list(args.argv)
     if "--out" in argv:
         i = argv.index("--out")
         del argv[i : i + 2]
@@ -125,8 +98,7 @@ def _emit(cfg: RunConfig, stem: str, report: ExperimentReport, extra: dict | Non
             "package": f"coeffid {__version__}",
             "command": stem,
             "argv": argv,
-            "seed": cfg.seed,
-            "threads": cfg.threads,
+            "seed": getattr(args, "seed", None),
             "outputs": dict(sorted(written.items())),
         }
     )
@@ -138,7 +110,7 @@ def _emit(cfg: RunConfig, stem: str, report: ExperimentReport, extra: dict | Non
 # ---------------------------------------------------------------------------
 
 
-def _cmd_forward(args, cfg: RunConfig) -> int:
+def _cmd_forward(args) -> int:
     iv = Interval(args.lo, args.hi)
     a = _parse_grid_function(args.a, iv, args.n)
     f = _parse_grid_function(args.f, a.interval, a.n)
@@ -160,11 +132,11 @@ def _cmd_forward(args, cfg: RunConfig) -> int:
         {"Ca": sol.Ca, "u": sol.u.to_json_dict(), "du": sol.du.to_json_dict(),
          "F": sol.F.to_json_dict()}
     )
-    _emit(cfg, "forward", rep, {"solution.json": payload})
+    _emit(args, "forward", rep, {"solution.json": payload})
     return 0
 
 
-def _cmd_recover(args, cfg: RunConfig) -> int:
+def _cmd_recover(args) -> int:
     iv = Interval(args.lo, args.hi)
     if args.du:
         du = _parse_grid_function(args.du, iv, args.n)
@@ -187,11 +159,11 @@ def _cmd_recover(args, cfg: RunConfig) -> int:
         passed=True,
         notes=f"zero candidates: {[fmt_float(c) for c in res.candidates][:8]}",
     )
-    _emit(cfg, "recover", rep, {"coefficient.json": res.a.to_json()})
+    _emit(args, "recover", rep, {"coefficient.json": res.a.to_json()})
     return 0
 
 
-def _cmd_exponents(args, cfg: RunConfig) -> int:
+def _cmd_exponents(args) -> int:
     iv = Interval(args.lo, args.hi)
     if args.F:
         F = _parse_grid_function(args.F, iv, args.n)
@@ -212,11 +184,11 @@ def _cmd_exponents(args, cfg: RunConfig) -> int:
                 "sup_measure": list(fit.sup_curve)},
         passed=True,
     )
-    _emit(cfg, "exponents", rep)
+    _emit(args, "exponents", rep)
     return 0
 
 
-def _cmd_holder(args, cfg: RunConfig) -> int:
+def _cmd_holder(args) -> int:
     iv = Interval(args.lo, args.hi)
     a = _parse_grid_function(args.a, iv, args.n)
     b = _parse_grid_function(args.b, a.interval, a.n)
@@ -238,7 +210,7 @@ def _cmd_holder(args, cfg: RunConfig) -> int:
             notes="band-measure sup branch does not decay (flat primitive): "
             "no positive stability exponent exists for this source",
         )
-        _emit(cfg, "holder", rep)
+        _emit(args, "holder", rep)
         return 1
     hr = verify_holder(a, b, f, args.p, fit)
     rep = ExperimentReport(
@@ -250,18 +222,18 @@ def _cmd_holder(args, cfg: RunConfig) -> int:
                  "c0_implied": hr.c0_implied},
         passed=True,
     )
-    _emit(cfg, "holder", rep)
+    _emit(args, "holder", rep)
     return 0
 
 
-def _cmd_dyadic(args, cfg: RunConfig) -> int:
+def _cmd_dyadic(args) -> int:
     fam = DyadicFamily(alpha_d=args.alpha, beta_d=args.beta, jmax=args.jmax)
     rep = dyadic_rate(fam, args.p, range(args.jmin, args.jmax + 1), args.n)
-    _emit(cfg, "dyadic", rep)
+    _emit(args, "dyadic", rep)
     return 0 if rep.passed else 1
 
 
-def _cmd_counterexample(args, cfg: RunConfig) -> int:
+def _cmd_counterexample(args) -> int:
     if args.kind == "volterra":
         pair = volterra_pair(args.level, args.n, args.amp)
         bar = 1e-8
@@ -283,11 +255,11 @@ def _cmd_counterexample(args, cfg: RunConfig) -> int:
                 "f": list(pair.f.values)},
         passed=certified,
     )
-    _emit(cfg, stem, rep)
+    _emit(args, stem, rep)
     return 0 if certified else 1
 
 
-def _cmd_coarea(args, cfg: RunConfig) -> int:
+def _cmd_coarea(args) -> int:
     iv = Interval(args.lo, args.hi)
     h = _parse_grid_function(args.h, iv, args.n)
     rep = coarea_check(h, args.nlevels)
@@ -295,42 +267,43 @@ def _cmd_coarea(args, cfg: RunConfig) -> int:
         levels = good_levels(h, args.t_start)
         rep.metrics["n_good_levels"] = len(levels)
         rep.notes = f"good levels down to {fmt_float(levels[-1])}"
-    _emit(cfg, "coarea", rep)
+    _emit(args, "coarea", rep)
     return 0 if rep.passed else 1
 
 
-def _cmd_pw2d_verify(args, cfg: RunConfig) -> int:
+def _cmd_pw2d_verify(args) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     part = Partition2D(args.nx, args.ny)
     bounds = CoefficientBounds(args.lam, args.Lam)
     rng = np.random.default_rng(args.seed)
     hm = np.array([hminus1_norm(1.0, part, i, args.m) for i in range(part.n_blocks)])
-    worst = 0.0
-    trial_ratios = []
+    trials = []
     for _ in range(args.trials):
         ca = rng.uniform(bounds.lam, bounds.Lam, part.n_blocks)
         cb = rng.uniform(bounds.lam, bounds.Lam, part.n_blocks)
-        rep_t = verify_pw_bound(
+        trials.append(verify_pw_bound(
             PwConstCoefficient(part, ca), PwConstCoefficient(part, cb), 1.0,
             args.m, bounds=bounds, block_hminus1=hm,
-        )
-        trial_ratios.append(rep_t.metrics["max_ratio"])
-        worst = max(worst, rep_t.metrics["max_ratio"])
-    slack = 1.0 + 5.0 / args.m
+        ))
+    ratios = [t.metrics["max_ratio"] for t in trials]
     rep = ExperimentReport(
         name="pw2d_verify",
         inputs={"nx": args.nx, "ny": args.ny, "m": args.m, "trials": args.trials,
                 "seed": args.seed, "lambda": bounds.lam, "Lambda": bounds.Lam},
-        metrics={"worst_ratio": worst, "slack": slack},
-        curves={"trial": list(range(args.trials)), "max_ratio": trial_ratios},
-        passed=bool(worst <= slack),
+        metrics={"worst_ratio": max(ratios), "slack": trials[0].inputs["slack"]},
+        curves={"trial": list(range(args.trials)), "max_ratio": ratios},
+        passed=all(t.passed for t in trials),
     )
-    _emit(cfg, "pw2d_verify", rep)
+    _emit(args, "pw2d_verify", rep)
     return 0 if rep.passed else 1
 
 
-def _cmd_pw2d_recover(args, cfg: RunConfig) -> int:
+def _cmd_pw2d_recover(args) -> int:
     truth = PwConstCoefficient.from_json_dict(json.loads(Path(args.truth).read_text()))
     bounds = CoefficientBounds(args.lam, args.Lam)
+    if not truth.admissible(bounds):
+        raise ValueError(f"truth coefficients outside [{bounds.lam}, {bounds.Lam}]")
     u_meas = fem_solve(truth, 1.0, args.m)
     res = recover_pw(u_meas, 1.0, truth.partition, bounds, args.m)
     errs = np.abs(res.coeff.coeffs - truth.coeffs)
@@ -346,7 +319,7 @@ def _cmd_pw2d_recover(args, cfg: RunConfig) -> int:
         notes=res.warning or "",
     )
     extra = {"u_meas.json": canonical_json(field_to_json_dict(u_meas))}
-    _emit(cfg, "pw2d_recover", rep, extra)
+    _emit(args, "pw2d_recover", rep, extra)
     return 0 if rep.passed else 1
 
 
@@ -355,13 +328,17 @@ def _cmd_pw2d_recover(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, n_default: int = 1024) -> None:
-    p.add_argument("--n", type=int, default=n_default, help="number of grid cells")
-    p.add_argument("--lo", type=float, default=0.0, help="left endpoint")
-    p.add_argument("--hi", type=float, default=1.0, help="right endpoint")
+def _add_common(p: argparse.ArgumentParser, n_default: int | None = None,
+                interval: bool = False) -> None:
+    """--out and --format everywhere; --n where the handler samples a grid
+    (n_default cells unless given); --lo/--hi where it parses 1D literals."""
+    if n_default is not None:
+        p.add_argument("--n", type=int, default=n_default, help="number of grid cells")
+    if interval:
+        p.add_argument("--lo", type=float, default=0.0, help="left endpoint")
+        p.add_argument("--hi", type=float, default=1.0, help="right endpoint")
     p.add_argument("--out", type=str, default=None, help="output directory")
     p.add_argument("--format", dest="fmt", choices=("json", "csv", "both"), default="both")
-    p.add_argument("--seed", type=int, default=None, help="rng seed for randomized sweeps")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--a", required=True, help="coefficient literal (const:c, linear:c0,c1, csv:path)")
     p.add_argument("--f", required=True, help="source literal")
-    _add_common(p)
+    _add_common(p, 1024, interval=True)
     p.set_defaults(run=_cmd_forward)
 
     p = sub.add_parser(
@@ -393,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Lambda", dest="Lam", type=float, default=2.0)
     p.add_argument("--threshold", type=float, default=None,
                    help="mask |u'| below this (default: sqrt(h) max|u'| / 100)")
-    _add_common(p)
+    _add_common(p, 1024, interval=True)
     p.set_defaults(run=_cmd_recover)
 
     p = sub.add_parser(
@@ -407,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-max", dest="rho_max", type=float, default=None)
     p.add_argument("--rho-points", dest="rho_points", type=int, default=10)
     p.add_argument("--M-points", dest="M_points", type=int, default=32)
-    _add_common(p, n_default=4096)
+    _add_common(p, 4096, interval=True)
     p.set_defaults(run=_cmd_exponents)
 
     p = sub.add_parser(
@@ -420,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--alpha", type=float, default=None, help="band-measure growth exponent")
     p.add_argument("--beta", type=float, default=None, help="band-measure flatness exponent")
-    _add_common(p, n_default=4096)
+    _add_common(p, 4096, interval=True)
     p.set_defaults(run=_cmd_holder)
 
     p = sub.add_parser(
@@ -433,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--jmax", type=int, default=10)
     p.add_argument("--jmin", type=int, default=4)
-    _add_common(p, n_default=2**16)
+    _add_common(p, 2**16)
     p.set_defaults(run=_cmd_dyadic)
 
     p = sub.add_parser(
@@ -447,13 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pv.add_argument("--level", type=int, default=3)
     pv.add_argument("--amp", type=float, default=0.5)
-    _add_common(pv, n_default=2**15)
+    _add_common(pv, 2**15)
     pv.set_defaults(run=_cmd_counterexample)
     pi = csub.add_parser(
         "inhomogeneous",
         help="boundary-data pair: -(a u')' = -(b u')' = 1 with a != b",
     )
-    _add_common(pi, n_default=1024)
+    _add_common(pi, 1024)
     pi.set_defaults(run=_cmd_counterexample)
 
     p = sub.add_parser(
@@ -464,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nlevels", type=int, default=64)
     p.add_argument("--t-start", dest="t_start", type=float, default=None,
                    help="also scan good levels with P <= 1/(t |ln t|) from here")
-    _add_common(p, n_default=4096)
+    _add_common(p, 4096, interval=True)
     p.set_defaults(run=_cmd_coarea)
 
     p = sub.add_parser(
@@ -483,6 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     pverify.add_argument("--trials", type=int, default=10)
     pverify.add_argument("--lambda", dest="lam", type=float, default=0.5)
     pverify.add_argument("--Lambda", dest="Lam", type=float, default=2.0)
+    pverify.add_argument("--seed", type=int, default=None, help="rng seed for the random pairs")
     _add_common(pverify)
     pverify.set_defaults(run=_cmd_pw2d_verify)
     precover = psub.add_parser(
@@ -504,21 +482,13 @@ def main(argv=None) -> int:
     ap = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = ap.parse_args(argv)
-    if getattr(args, "command", None) == "recover" and not (args.du or args.u):
+    args = ap.parse_args(argv, argparse.Namespace(argv=tuple(argv)))
+    if args.command == "recover" and not (args.du or args.u):
         ap.error("recover needs --du or --u")
-    if getattr(args, "command", None) == "exponents" and not (args.f or args.F):
+    if args.command == "exponents" and not (args.f or args.F):
         ap.error("exponents needs --f or --F")
-    cfg = RunConfig(
-        seed=getattr(args, "seed", None),
-        n=getattr(args, "n", None),
-        out=getattr(args, "out", None),
-        fmt=getattr(args, "fmt", "both"),
-        threads=_threads_from_env(),
-        argv=tuple(argv),
-    )
     try:
-        return args.run(args, cfg)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

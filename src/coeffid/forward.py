@@ -38,7 +38,8 @@ class ForwardSolution:
     source primitive F, all on one grid.
 
     flux_residual is max |a*du + F - Ca| over the nodes and boundary_residual
-    is |u(hi)|; both are checked against their tolerances at construction.
+    is |u(hi)|; the solver raises when either exceeds FLUX_TOL or
+    BOUNDARY_TOL, scaled by the size of the data.
     """
 
     u: GridFunction1D
@@ -79,8 +80,6 @@ def solve_from_primitive(
     a: GridFunction1D,
     F: GridFunction1D,
     bounds: CoefficientBounds | None = None,
-    flux_tol: float = FLUX_TOL,
-    boundary_tol: float = BOUNDARY_TOL,
 ) -> ForwardSolution:
     """Solve given the source primitive F directly.
 
@@ -100,15 +99,15 @@ def solve_from_primitive(
 
     flux_res = float(np.abs(a.values * du_vals + F.values - Ca).max())
     flux_scale = 1.0 + abs(Ca) + float(np.abs(F.values).max())
-    if flux_res > flux_tol * flux_scale:
+    if flux_res > FLUX_TOL * flux_scale:
         raise RuntimeError(f"flux identity residual {flux_res:.3e} exceeds tolerance")
 
     boundary_res = float(abs(u_vals[-1]))
     u_scale = 1.0 + float(np.abs(u_vals).max())
-    if boundary_res > boundary_tol * u_scale:
+    if boundary_res > BOUNDARY_TOL * u_scale:
         raise RuntimeError(
             f"boundary closure failed: |u(hi)| = {boundary_res:.3e} "
-            f"(tolerance {boundary_tol * u_scale:.3e})"
+            f"(tolerance {BOUNDARY_TOL * u_scale:.3e})"
         )
 
     return ForwardSolution(
@@ -125,9 +124,7 @@ def solve(
     a: GridFunction1D,
     f: GridFunction1D,
     bounds: CoefficientBounds | None = None,
-    flux_tol: float = FLUX_TOL,
-    boundary_tol: float = BOUNDARY_TOL,
 ) -> ForwardSolution:
     """Solve -(a u')' = f on the shared grid of a and f, u = 0 at both ends."""
     require_same_grid(a, f)
-    return solve_from_primitive(a, primitive(f), bounds, flux_tol, boundary_tol)
+    return solve_from_primitive(a, primitive(f), bounds)

@@ -27,6 +27,8 @@ __all__ = [
     "good_levels",
 ]
 
+LEVEL_FLOOR = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class LevelSetProfile:
@@ -119,8 +121,8 @@ def coarea_check(h: GridFunction1D, nlevels: int = 64) -> ExperimentReport:
     )
 
 
-def good_levels(h: GridFunction1D, t_start: float, floor: float = 1e-9) -> list:
-    """Scan a dyadic level grid downward and keep levels t with
+def good_levels(h: GridFunction1D, t_start: float) -> list:
+    """Scan a dyadic level grid downward to LEVEL_FLOOR and keep levels t with
     P({h > t}) <= 1/(t |ln t|).
 
     For TV-bounded h the averaging bound guarantees such levels exist; an
@@ -132,7 +134,7 @@ def good_levels(h: GridFunction1D, t_start: float, floor: float = 1e-9) -> list:
         raise ValueError("h must be nonnegative somewhere")
     out = []
     t = float(t_start)
-    while t > floor:
+    while t > LEVEL_FLOOR:
         budget = 1.0 / (t * abs(math.log(t)))
         if level_perimeter(h, t) <= budget:
             out.append(t)

@@ -3,9 +3,8 @@
 Nodal (vertex) sampling on a uniform partition is the single carrier used
 everywhere: coefficients a, sources f, primitives F, solutions u and their
 derivatives u' are all GridFunction1D instances. Quadrature is composite
-trapezoid by default, which is exact on the piecewise-linear interpolants
-that serve as ground truth throughout; composite Simpson is available for
-smooth oracles.
+trapezoid, which is exact on the piecewise-linear interpolants that serve as
+ground truth throughout.
 """
 
 from __future__ import annotations
@@ -17,13 +16,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import simpson
 
 __all__ = [
     "Interval",
     "GridFunction1D",
     "CoefficientBounds",
-    "LpNorm",
     "quadrature",
     "lp_norm",
     "derivative",
@@ -68,17 +65,6 @@ class CoefficientBounds:
     def __post_init__(self):
         if not (0.0 < self.lam < self.Lam < math.inf):
             raise ValueError(f"need 0 < lam < Lam, got ({self.lam}, {self.Lam})")
-
-
-@dataclass(frozen=True)
-class LpNorm:
-    """Norm exponent p in [1, inf]; math.inf selects the max norm."""
-
-    p: float
-
-    def __post_init__(self):
-        if not self.p >= 1.0:
-            raise ValueError(f"norm exponent must satisfy p >= 1, got {self.p}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,25 +226,15 @@ def require_same_grid(a: GridFunction1D, b: GridFunction1D) -> None:
         )
 
 
-def quadrature(g: GridFunction1D, rule: str = "trapezoid") -> float:
-    """Integral of g over its interval.
-
-    The default composite trapezoid rule is exact for the piecewise-linear
-    nodal interpolant. rule="simpson" switches to composite Simpson for use
-    against smooth oracles.
-    """
+def quadrature(g: GridFunction1D) -> float:
+    """Integral of g over its interval by the composite trapezoid rule, exact
+    for the piecewise-linear nodal interpolant."""
     v = g.values
-    if rule == "trapezoid":
-        return float(g.h * (0.5 * (v[0] + v[-1]) + v[1:-1].sum()))
-    if rule == "simpson":
-        return float(simpson(v, dx=g.h))
-    raise ValueError(f"unknown quadrature rule {rule!r}")
+    return float(g.h * (0.5 * (v[0] + v[-1]) + v[1:-1].sum()))
 
 
-def lp_norm(g: GridFunction1D, p) -> float:
-    """Lp norm of g; p may be a float in [1, inf] or an LpNorm."""
-    if isinstance(p, LpNorm):
-        p = p.p
+def lp_norm(g: GridFunction1D, p: float) -> float:
+    """Lp norm of g for p in [1, inf]; math.inf gives the max norm."""
     p = float(p)
     if p < 1.0:
         raise ValueError(f"norm exponent must satisfy p >= 1, got {p}")

@@ -175,7 +175,7 @@ def convergence_study(
     a: GridFunction1D,
     perturbations,
     f: GridFunction1D,
-    p,
+    p: float,
     bounds: CoefficientBounds | None = None,
 ) -> ExperimentReport:
     """Check that coefficient distance decreases in trend with gradient distance.
@@ -215,7 +215,7 @@ def convergence_study(
 
     return ExperimentReport(
         name="convergence_study",
-        inputs={"p": float(p if not hasattr(p, "p") else p.p), "count": len(xs)},
+        inputs={"p": float(p), "count": len(xs)},
         metrics={"spearman": corr, "max_du_gap": float(xs_arr.max(initial=0.0)),
                  "max_coeff_gap": float(ys_arr.max(initial=0.0))},
         curves={"du_gap_l2": xs, "coeff_gap_lp": ys},

@@ -10,8 +10,8 @@ When m resolves the block partition, multiplying a test function supported in
 one block by a constant keeps it in the discrete space, so the inequality
 above holds exactly at the discrete level (up to rounding) when the H^-1 norm
 is realized by its discrete Riesz representative on the same mesh. The
-verification report still carries the documented slack factor 1 + c/m for the
-continuum reading.
+verification report still carries the documented slack factor
+1 + SLACK_COEF/m for the continuum reading.
 
 Every linear solve is a sparse LU factorization (symmetric minimum-degree
 ordering) followed by triangular solves; a factor is reused for every
@@ -49,6 +49,10 @@ _G1 = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
 _G2 = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0], [-1.0, -1.0, 2.0]])
 _STIFF = np.stack([_G1, _G2]) * 0.5
 _MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+
+SLACK_COEF = 5.0
+MAX_SWEEPS = 50
+SWEEP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -209,17 +213,21 @@ class FemSystem:
 
 def as_nodal_field(f, m: int) -> np.ndarray:
     """Normalize a source input (constant, callable of (x, y), or nodal array)
-    to an (m+1, m+1) array indexed [iy, ix]. A callable's result is
+    to a finite (m+1, m+1) array indexed [iy, ix]. A callable's result is
     broadcast, so one that returns a scalar gives a constant field."""
+    shape = (m + 1, m + 1)
     if callable(f):
         xs = np.linspace(0.0, 1.0, m + 1)
         X, Y = np.meshgrid(xs, xs, indexing="xy")
-        return np.broadcast_to(np.asarray(f(X, Y), dtype=float), X.shape)
-    arr = np.asarray(f, dtype=float)
-    if arr.ndim == 0:
-        return np.full((m + 1, m + 1), float(arr))
-    if arr.shape != (m + 1, m + 1):
-        raise ValueError(f"nodal field must have shape {(m + 1, m + 1)}, got {arr.shape}")
+        arr = np.broadcast_to(np.asarray(f(X, Y), dtype=float), shape)
+    else:
+        arr = np.asarray(f, dtype=float)
+        if arr.ndim == 0:
+            arr = np.full(shape, float(arr))
+        elif arr.shape != shape:
+            raise ValueError(f"nodal field must have shape {shape}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("source field must be finite")
     return arr
 
 
@@ -241,9 +249,11 @@ def fem_solve(a: PwConstCoefficient, f, m: int) -> np.ndarray:
 
 
 def grad_norm_by_block(u: np.ndarray, partition: Partition2D, m: int) -> np.ndarray:
-    """|grad u|_{L2(D_i)} per block for a nodal field u."""
+    """|grad u|_{L2(D_i)} per block for a nodal field u on (m+1)^2 nodes."""
     ws = _workspace(partition.nx, partition.ny, m)
     v = np.asarray(u, dtype=float).ravel()
+    if v.size != ws.n_nodes:
+        raise ValueError(f"u has {v.size} nodes, the mesh has {ws.n_nodes}")
     tri = ws.tri
     u0 = v[tri[:, 0]]
     u1 = v[tri[:, 1]]
@@ -295,13 +305,12 @@ def verify_pw_bound(
     f,
     m: int,
     bounds: CoefficientBounds | None = None,
-    slack_coef: float = 5.0,
     block_hminus1: np.ndarray | None = None,
 ) -> ExperimentReport:
     """Per-block two-sided check of the stability bound.
 
     Reports lhs = |a_i - b_i| |f|_{H^-1(D_i)}, rhs = Lam^2 |grad(u_a-u_b)|_{L2(D_i)}
-    and the ratio lhs/rhs, which must not exceed 1 + slack_coef/m. Lam defaults
+    and the ratio lhs/rhs, which must not exceed 1 + SLACK_COEF/m. Lam defaults
     to the largest coefficient present. block_hminus1 lets sweeps reuse the
     f-only norms.
     """
@@ -319,7 +328,7 @@ def verify_pw_bound(
 
     tiny = 1e-300
     ratios = np.where(lhs <= tiny, 0.0, lhs / np.maximum(rhs, tiny))
-    slack = 1.0 + slack_coef / m
+    slack = 1.0 + SLACK_COEF / m
     passed = bool(np.all(ratios <= slack))
 
     return ExperimentReport(
@@ -355,8 +364,6 @@ def recover_pw(
     partition: Partition2D,
     bounds: CoefficientBounds,
     m: int,
-    max_sweeps: int = 50,
-    sweep_tol: float = 1e-10,
 ) -> PwRecovery:
     """Block constants a in [lam, Lam] minimizing |grad(u(a) - u_meas)|_{L2}^2.
 
@@ -366,8 +373,8 @@ def recover_pw(
     then keep the result stable under noise. Each step factors K(a) once and
     reads the state and all block sensitivities -K^{-1} K_i u off that factor;
     a step that raises the misfit is halved. Steps stop, converged, when the
-    misfit falls by at most sweep_tol relative to its value or the step is
-    below 1e-12; after max_sweeps steps the result carries a warning. When f
+    misfit falls by at most SWEEP_TOL relative to its value or the step is
+    below 1e-12; after MAX_SWEEPS steps the result carries a warning. When f
     carries no energy on some block (min block H^-1 norm is zero) the problem
     is not identifiable there; the result then holds midpoint values and a
     warning.
@@ -409,7 +416,7 @@ def recover_pw(
     J, g, G = linearize(coeffs)
     converged = False
     steps = 0
-    for steps in range(1, max_sweeps + 1):
+    for steps in range(1, MAX_SWEEPS + 1):
         delta = np.linalg.solve(G, -g)
         while True:
             trial = np.clip(coeffs + delta, bounds.lam, bounds.Lam)
@@ -418,7 +425,7 @@ def recover_pw(
             if J_new <= J or step < 1e-12:
                 break
             delta = 0.5 * delta
-        settled = J - J_new <= sweep_tol * J or step < 1e-12
+        settled = J - J_new <= SWEEP_TOL * J or step < 1e-12
         if J_new <= J:
             coeffs, J, g, G = trial, J_new, g_new, G_new
         if settled:
@@ -428,7 +435,7 @@ def recover_pw(
     return PwRecovery(
         coeff=PwConstCoefficient(partition, coeffs),
         converged=converged,
-        warning=None if converged else f"Gauss-Newton did not settle within {max_sweeps} steps",
+        warning=None if converged else f"Gauss-Newton did not settle within {MAX_SWEEPS} steps",
         sweeps=steps,
         objective=math.sqrt(J),
     )

@@ -22,7 +22,7 @@ Three groups of tools live here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 BETA_DEGENERATE_CUTOFF = 0.05
+ZERO_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +212,12 @@ def verify_holder(
     p: float,
     fit: ExponentFit,
     bounds: CoefficientBounds | None = None,
-    zero_tol: float = 1e-12,
 ) -> HolderReport:
     """Measure both sides of |a - b|_{Lp} <= C |u'_a - u'_b|_{L2}^exponent.
 
-    Raises when the right side vanishes while the left does not, which on
-    admissible inputs with f nonzero a.e. would contradict identifiability.
+    Raises when the right side vanishes (below ZERO_TOL relative to the
+    coefficients' size) while the left does not, which on admissible inputs
+    with f nonzero a.e. would contradict identifiability.
     """
     require_same_grid(a, b)
     sol_a = solve(a, f, bounds)
@@ -227,8 +228,8 @@ def verify_holder(
     exponent = float(holder_exponent(p, fit.alpha, fit.beta))
 
     scale = 1.0 + float(np.abs(a.values).max()) + float(np.abs(b.values).max())
-    if rhs <= zero_tol * scale:
-        if lhs > zero_tol * scale:
+    if rhs <= ZERO_TOL * scale:
+        if lhs > ZERO_TOL * scale:
             raise RuntimeError("identifiability violation detected")
         return HolderReport(p=float(p), lhs=lhs, rhs_norm=rhs, exponent=exponent,
                             constant_needed=0.0, eta=eta, c0_implied=0.0)
@@ -250,7 +251,7 @@ def verify_holder(
 
 
 def _tail_terms(alpha_d: float, jmax: int) -> int:
-    """Default truncation depth: deep enough that the dropped tail is below
+    """Truncation depth: deep enough that the dropped tail is below
     1e-8 in the energy norm AND below 0.1% of the content remaining inside
     the smallest perturbed interval S_jmax (otherwise measured gaps at large
     j would reflect the truncation, not the scaling)."""
@@ -264,25 +265,22 @@ class DyadicFamily:
     """Parameters of the multiscale example on (-1, 1).
 
     alpha_d > 1/2 is the amplitude decay of the scales, beta_d <= 0 keeps the
-    perturbed coefficients inside [1, 2], jmax caps the perturbation index and
-    K_trunc the number of scales kept (default: enough that the dropped tail
-    is below 1e-8 in the energy norm).
+    perturbed coefficients inside [1, 2] and jmax caps the perturbation index.
+    K_trunc, the number of scales kept, is derived as _tail_terms(alpha_d,
+    jmax): the dropped tail is below 1e-8 in the energy norm.
     """
 
     alpha_d: float
     beta_d: float
     jmax: int = 12
-    K_trunc: int | None = None
+    K_trunc: int = field(init=False)
 
     def __post_init__(self):
         if not self.alpha_d > 0.5:
             raise ValueError("alpha_d must exceed 1/2")
         if self.jmax < 1:
             raise ValueError("jmax must be positive")
-        k = self.K_trunc if self.K_trunc is not None else _tail_terms(self.alpha_d, self.jmax)
-        if 2.0 ** (-(self.alpha_d - 0.5) * k) >= 1e-8:
-            raise ValueError("K_trunc too small: truncated tail above 1e-8")
-        object.__setattr__(self, "K_trunc", int(k))
+        object.__setattr__(self, "K_trunc", _tail_terms(self.alpha_d, self.jmax))
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from coeffid.cli import main
+from coeffid.cli import build_parser, main
 from coeffid.grids import GridFunction1D, Interval
 
 
@@ -225,12 +225,54 @@ def test_holder_flat_source_reports_no_rate(tmp_path):
     assert "no positive stability exponent" in rep["notes"]
 
 
-def test_threads_env_recorded_in_manifest(tmp_path, monkeypatch):
-    monkeypatch.setenv("COEFFID_THREADS", "4")
+def test_manifest_records_no_threads(tmp_path):
     out = tmp_path / "thr"
     assert run(["forward", "--a", "const:1", "--f", "const:1", "--n", "64",
                 "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["threads"] == 4
+    assert "threads" not in manifest
     assert manifest["argv"][0] == "forward"
     assert "--out" not in manifest["argv"]
+
+
+_BASE_ARGV = {
+    "forward": ["forward", "--a", "const:1", "--f", "const:1"],
+    "recover": ["recover", "--du", "const:1", "--f", "const:1"],
+    "exponents": ["exponents", "--f", "const:1"],
+    "holder": ["holder", "--a", "const:1", "--b", "const:1", "--f", "const:1", "--p", "2"],
+    "dyadic": ["dyadic", "--alpha", "2", "--beta", "0", "--p", "1"],
+    "volterra": ["counterexample", "volterra"],
+    "inhomogeneous": ["counterexample", "inhomogeneous"],
+    "coarea": ["coarea", "--h", "linear:0,1"],
+    "pw2d verify": ["pw2d", "verify"],
+    "pw2d recover": ["pw2d", "recover", "--truth", "t.json"],
+}
+_UNREAD_FLAGS = (
+    [(cmd, "--seed") for cmd in ("forward", "recover", "exponents", "holder", "coarea")]
+    + [(cmd, flag) for cmd in ("dyadic", "volterra", "inhomogeneous")
+       for flag in ("--lo", "--hi", "--seed")]
+    + [("pw2d verify", flag) for flag in ("--n", "--lo", "--hi")]
+    + [("pw2d recover", flag) for flag in ("--n", "--lo", "--hi", "--seed")]
+)
+
+
+@pytest.mark.parametrize("cmd,flag", _UNREAD_FLAGS)
+def test_flag_the_handler_does_not_read_exits_2(cmd, flag):
+    parser = build_parser()
+    parser.parse_args(_BASE_ARGV[cmd])
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(_BASE_ARGV[cmd] + [flag, "1"])
+    assert exc.value.code == 2
+
+
+def test_pw2d_recover_rejects_inadmissible_truth(tmp_path, capsys):
+    truth_path = tmp_path / "truth.json"
+    truth_path.write_text(json.dumps({"nx": 2, "ny": 2, "coeffs": [1.0, 1.5, 0.8, 1.2]}))
+    code = run(["pw2d", "recover", "--truth", str(truth_path), "--Lambda", "1.0",
+                "--m", "16"])
+    assert code == 2
+    assert "outside" in capsys.readouterr().err
+
+
+def test_pw2d_verify_needs_a_trial():
+    assert run(["pw2d", "verify", "--m", "16", "--trials", "0"]) == 2

@@ -9,7 +9,6 @@ from coeffid.grids import (
     CoefficientBounds,
     GridFunction1D,
     Interval,
-    LpNorm,
     admissible,
     derivative,
     indicator_values,
@@ -58,7 +57,7 @@ def test_bounds_validation():
     with pytest.raises(ValueError):
         CoefficientBounds(0.0, 1.0)
     with pytest.raises(ValueError):
-        LpNorm(0.5)
+        lp_norm(GridFunction1D.const(1.0, UNIT, 8), 0.5)
 
 
 # -- quadrature -------------------------------------------------------------
@@ -77,13 +76,6 @@ def test_quadrature_linear_exact():
 def test_quadrature_square_antiderivative_oracle():
     g = linspace_gf(lambda x: x * x, 1000)
     assert quadrature(g) == pytest.approx(1.0 / 3.0, abs=1e-6)
-
-
-def test_quadrature_simpson_switch():
-    g = linspace_gf(lambda x: x * x, 64)
-    assert quadrature(g, rule="simpson") == pytest.approx(1.0 / 3.0, abs=1e-14)
-    with pytest.raises(ValueError):
-        quadrature(g, rule="midpoint")
 
 
 @given(grid_values, grid_values, finite_vals, finite_vals)
@@ -106,11 +98,6 @@ def test_lp_norm_examples():
     assert lp_norm(linspace_gf(lambda x: x, 32), math.inf) == pytest.approx(1.0)
     g = linspace_gf(lambda x: 0.5 - x, 2000)
     assert lp_norm(g, 2.0) == pytest.approx(math.sqrt(1.0 / 12.0), abs=1e-6)
-
-
-def test_lp_norm_accepts_lpnorm_wrapper():
-    g = linspace_gf(lambda x: x, 32)
-    assert lp_norm(g, LpNorm(math.inf)) == lp_norm(g, math.inf)
 
 
 @given(grid_values, grid_values)

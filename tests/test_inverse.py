@@ -176,14 +176,12 @@ def test_roundtrip_on_shifted_interval():
     assert quadrature(a.with_values(np.abs(diff))) < 1e-3 * iv.length
 
 
-def test_convergence_study_accepts_lpnorm_wrapper():
-    from coeffid.grids import LpNorm
-
+def test_convergence_study_constant_shifts():
     n = 512
     a = GridFunction1D.const(1.0, UNIT, n)
     f = GridFunction1D.const(1.0, UNIT, n)
     perts = [a.with_values(a.values + 0.1 / k) for k in (1, 2, 3, 4)]
-    rep = convergence_study(a, perts, f, LpNorm(2.0))
+    rep = convergence_study(a, perts, f, 2.0)
     assert rep.passed
 
 

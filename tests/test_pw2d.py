@@ -96,6 +96,14 @@ def test_callable_source_returning_scalar_is_broadcast():
     assert np.array_equal(fem_solve(a, lambda x, y: 1.0, 16), fem_solve(a, 1.0, 16))
 
 
+def test_non_finite_source_rejected():
+    a = const_coeff(1.0, Partition2D(2, 2))
+    with pytest.raises(ValueError, match="finite"):
+        fem_solve(a, np.nan, 16)
+    with pytest.raises(ValueError, match="finite"):
+        fem_solve(a, lambda x, y: np.where(x > 0.5, np.inf, 1.0), 16)
+
+
 def test_monotone_dependence_on_coefficient():
     us = [fem_solve(const_coeff(c), 1.0, 16) for c in (0.5, 1.0, 1.5, 2.0)]
     for u_small, u_big in zip(us, us[1:]):
@@ -111,6 +119,11 @@ def test_hminus1_riesz_identity_full_square():
     assert hm == pytest.approx(gn, abs=1e-9)
     mean_u = u[:-1, :-1].mean()  # cell-average approximation of int u
     assert hm**2 == pytest.approx(mean_u, rel=2e-3)
+
+
+def test_grad_norm_by_block_rejects_wrong_node_count():
+    with pytest.raises(ValueError, match="nodes"):
+        grad_norm_by_block(np.ones((18, 18)), Partition2D(2, 2), 16)
 
 
 def test_hminus1_zero_source():

@@ -229,8 +229,6 @@ def test_verify_holder_flags_violation_on_degenerate_source():
 def test_dyadic_family_tail_bound_enforced():
     fam = DyadicFamily(alpha_d=2.0, beta_d=0.0)
     assert 2.0 ** (-(fam.alpha_d - 0.5) * fam.K_trunc) < 1e-8
-    with pytest.raises(ValueError, match="tail"):
-        DyadicFamily(alpha_d=2.0, beta_d=0.0, K_trunc=3)
     with pytest.raises(ValueError, match="alpha_d"):
         DyadicFamily(alpha_d=0.5, beta_d=0.0)
 

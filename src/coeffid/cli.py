@@ -42,7 +42,6 @@ from .pw2d import (
 from .report import ExperimentReport, canonical_json
 from .stability import (
     DyadicFamily,
-    ExponentFit,
     dyadic_rate,
     fit_exponents,
     verify_holder,
@@ -67,37 +66,48 @@ def _parse_grid_function(literal: str, interval: Interval, n: int) -> GridFuncti
     raise ValueError(f"unknown function literal kind {kind!r} (use const/linear/csv/json)")
 
 
-def _emit(args, stem: str, report: ExperimentReport, extra: dict | None = None) -> None:
-    """Write or print the report; extra maps filename -> text payload."""
+def _argv_without_out(argv) -> list:
+    """argv minus the tokens argparse consumed for --out, in every spelling
+    it accepts: --out DIR, --out=DIR and prefixes such as --ou DIR."""
+    kept = []
+    tokens = iter(argv)
+    for tok in tokens:
+        opt, eq, _ = tok.partition("=")
+        if len(opt) > 2 and "--out".startswith(opt):
+            if not eq:
+                next(tokens, None)
+            continue
+        kept.append(tok)
+    return kept
+
+
+def _emit(args, report: ExperimentReport, extra: dict) -> None:
+    """Print the report, or write it with the extra {filename: text} files
+    and a manifest of their checksums into --out."""
     if args.out is None:
         print(report.to_json())
         return
+    stem = "_".join(filter(None, (args.command, getattr(args, "kind", None))))
+    files = {}
+    if args.fmt in ("json", "both"):
+        files[f"{stem}.json"] = report.to_json()
+    if args.fmt in ("csv", "both") and report.curves:
+        files[f"{stem}.csv"] = report.curves_csv()
+    files.update(extra)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     written = {}
-    if args.fmt in ("json", "both"):
-        data = report.to_json().encode()
-        (outdir / f"{stem}.json").write_bytes(data)
-        written[f"{stem}.json"] = hashlib.sha256(data).hexdigest()
-    if args.fmt in ("csv", "both") and report.curves:
-        data = report.curves_csv().encode()
-        (outdir / f"{stem}.csv").write_bytes(data)
-        written[f"{stem}.csv"] = hashlib.sha256(data).hexdigest()
-    for name, text in (extra or {}).items():
+    for name, text in files.items():
         data = text.encode()
         (outdir / name).write_bytes(data)
         written[name] = hashlib.sha256(data).hexdigest()
     # the output location is not an input: dropping it keeps manifests
     # byte-identical across reruns into different directories
-    argv = list(args.argv)
-    if "--out" in argv:
-        i = argv.index("--out")
-        del argv[i : i + 2]
     manifest = canonical_json(
         {
             "package": f"coeffid {__version__}",
             "command": stem,
-            "argv": argv,
+            "argv": _argv_without_out(args.argv),
             "seed": getattr(args, "seed", None),
             "outputs": dict(sorted(written.items())),
         }
@@ -106,11 +116,11 @@ def _emit(args, stem: str, report: ExperimentReport, extra: dict | None = None) 
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (report, {filename: text} extra files)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_forward(args) -> int:
+def _cmd_forward(args):
     iv = Interval(args.lo, args.hi)
     a = _parse_grid_function(args.a, iv, args.n)
     f = _parse_grid_function(args.f, a.interval, a.n)
@@ -132,13 +142,12 @@ def _cmd_forward(args) -> int:
         {"Ca": sol.Ca, "u": sol.u.to_json_dict(), "du": sol.du.to_json_dict(),
          "F": sol.F.to_json_dict()}
     )
-    _emit(args, "forward", rep, {"solution.json": payload})
-    return 0
+    return rep, {"solution.json": payload}
 
 
-def _cmd_recover(args) -> int:
+def _cmd_recover(args):
     iv = Interval(args.lo, args.hi)
-    if args.du:
+    if args.du is not None:
         du = _parse_grid_function(args.du, iv, args.n)
     else:
         du = derivative(_parse_grid_function(args.u, iv, args.n))
@@ -159,13 +168,12 @@ def _cmd_recover(args) -> int:
         passed=True,
         notes=f"zero candidates: {[fmt_float(c) for c in res.candidates][:8]}",
     )
-    _emit(args, "recover", rep, {"coefficient.json": res.a.to_json()})
-    return 0
+    return rep, {"coefficient.json": canonical_json(res.a.to_json_dict())}
 
 
-def _cmd_exponents(args) -> int:
+def _cmd_exponents(args):
     iv = Interval(args.lo, args.hi)
-    if args.F:
+    if args.F is not None:
         F = _parse_grid_function(args.F, iv, args.n)
     else:
         F = primitive(_parse_grid_function(args.f, iv, args.n))
@@ -184,82 +192,67 @@ def _cmd_exponents(args) -> int:
                 "sup_measure": list(fit.sup_curve)},
         passed=True,
     )
-    _emit(args, "exponents", rep)
-    return 0
+    return rep, {}
 
 
-def _cmd_holder(args) -> int:
+def _cmd_holder(args):
+    if (args.alpha is None) != (args.beta is None):
+        raise ValueError("--alpha and --beta must be given together")
     iv = Interval(args.lo, args.hi)
     a = _parse_grid_function(args.a, iv, args.n)
     b = _parse_grid_function(args.b, a.interval, a.n)
     f = _parse_grid_function(args.f, a.interval, a.n)
-    if args.alpha is not None and args.beta is not None:
-        fit = ExponentFit(alpha=args.alpha, beta=args.beta, C1=1.0, C2=1.0,
-                          rho_grid=(), residual=0.0, beta_degenerate=False,
-                          inf_curve=(), sup_curve=())
-    else:
+    alpha, beta, flat = args.alpha, args.beta, False
+    if alpha is None:
         F = primitive(f)
         span = float(F.values.max() - F.values.min())
         fit = fit_exponents(F, np.geomspace(span / 4.0, span / 2048.0, 10), 32)
-    if fit.beta_degenerate or fit.beta <= 0.0:
-        rep = ExperimentReport(
-            name="holder",
-            inputs={"a": args.a, "b": args.b, "f": args.f, "p": args.p,
-                    "alpha": fit.alpha, "beta": fit.beta},
-            passed=False,
-            notes="band-measure sup branch does not decay (flat primitive): "
-            "no positive stability exponent exists for this source",
-        )
-        _emit(args, "holder", rep)
-        return 1
-    hr = verify_holder(a, b, f, args.p, fit)
+        alpha, beta, flat = fit.alpha, fit.beta, fit.beta_degenerate
     rep = ExperimentReport(
         name="holder",
         inputs={"a": args.a, "b": args.b, "f": args.f, "p": args.p,
-                "alpha": fit.alpha, "beta": fit.beta},
-        metrics={"lhs": hr.lhs, "rhs_norm": hr.rhs_norm, "exponent": hr.exponent,
-                 "constant_needed": hr.constant_needed, "eta": hr.eta,
-                 "c0_implied": hr.c0_implied},
-        passed=True,
+                "alpha": alpha, "beta": beta},
+        passed=not (flat or beta <= 0.0),
     )
-    _emit(args, "holder", rep)
-    return 0
+    if rep.passed:
+        hr = verify_holder(a, b, f, args.p, alpha, beta)
+        rep.metrics = {"lhs": hr.lhs, "rhs_norm": hr.rhs_norm, "exponent": hr.exponent,
+                       "constant_needed": hr.constant_needed, "eta": hr.eta,
+                       "c0_implied": hr.c0_implied}
+    else:
+        rep.notes = ("band-measure sup branch does not decay (flat primitive): "
+                     "no positive stability exponent exists for this source")
+    return rep, {}
 
 
-def _cmd_dyadic(args) -> int:
+def _cmd_dyadic(args):
     fam = DyadicFamily(alpha_d=args.alpha, beta_d=args.beta, jmax=args.jmax)
-    rep = dyadic_rate(fam, args.p, range(args.jmin, args.jmax + 1), args.n)
-    _emit(args, "dyadic", rep)
-    return 0 if rep.passed else 1
+    return dyadic_rate(fam, args.p, range(args.jmin, args.jmax + 1), args.n), {}
 
 
-def _cmd_counterexample(args) -> int:
+def _cmd_counterexample(args):
     if args.kind == "volterra":
         pair = volterra_pair(args.level, args.n, args.amp)
         bar = 1e-8
-        stem = "counterexample_volterra"
         inputs = {"level": args.level, "n": args.n, "amp": args.amp}
     else:
         pair = inhomogeneous_pair(args.n)
         bar = 1e-9
-        stem = "counterexample_inhomogeneous"
         inputs = {"n": args.n}
-    certified = pair.residual_a < bar and pair.residual_b < bar and pair.coeff_gap > 0.1
     rep = ExperimentReport(
-        name=stem,
+        name=f"counterexample_{args.kind}",
         inputs=inputs,
         metrics={"residual_a": pair.residual_a, "residual_b": pair.residual_b,
                  "coeff_gap": pair.coeff_gap},
         curves={"x": list(pair.a.x), "a": list(pair.a.values), "b": list(pair.b.values),
                 "u": list(pair.u.values), "du": list(pair.du.values),
                 "f": list(pair.f.values)},
-        passed=certified,
+        passed=pair.residual_a < bar and pair.residual_b < bar and pair.coeff_gap > 0.1,
     )
-    _emit(args, stem, rep)
-    return 0 if certified else 1
+    return rep, {}
 
 
-def _cmd_coarea(args) -> int:
+def _cmd_coarea(args):
     iv = Interval(args.lo, args.hi)
     h = _parse_grid_function(args.h, iv, args.n)
     rep = coarea_check(h, args.nlevels)
@@ -267,11 +260,10 @@ def _cmd_coarea(args) -> int:
         levels = good_levels(h, args.t_start)
         rep.metrics["n_good_levels"] = len(levels)
         rep.notes = f"good levels down to {fmt_float(levels[-1])}"
-    _emit(args, "coarea", rep)
-    return 0 if rep.passed else 1
+    return rep, {}
 
 
-def _cmd_pw2d_verify(args) -> int:
+def _cmd_pw2d_verify(args):
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     part = Partition2D(args.nx, args.ny)
@@ -295,11 +287,10 @@ def _cmd_pw2d_verify(args) -> int:
         curves={"trial": list(range(args.trials)), "max_ratio": ratios},
         passed=all(t.passed for t in trials),
     )
-    _emit(args, "pw2d_verify", rep)
-    return 0 if rep.passed else 1
+    return rep, {}
 
 
-def _cmd_pw2d_recover(args) -> int:
+def _cmd_pw2d_recover(args):
     truth = PwConstCoefficient.from_json_dict(json.loads(Path(args.truth).read_text()))
     bounds = CoefficientBounds(args.lam, args.Lam)
     if not truth.admissible(bounds):
@@ -318,9 +309,7 @@ def _cmd_pw2d_recover(args) -> int:
         passed=bool(res.converged and res.warning is None),
         notes=res.warning or "",
     )
-    extra = {"u_meas.json": canonical_json(field_to_json_dict(u_meas))}
-    _emit(args, "pw2d_recover", rep, extra)
-    return 0 if rep.passed else 1
+    return rep, {"u_meas.json": canonical_json(field_to_json_dict(u_meas))}
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
         "recover",
         help="recover a = (C - F)/u' from u' and f, identifying C from a zero of u'",
     )
-    p.add_argument("--du", default=None, help="derivative data literal")
-    p.add_argument("--u", default=None, help="solution data literal (differentiated first)")
+    data = p.add_mutually_exclusive_group(required=True)
+    data.add_argument("--du", help="derivative data literal")
+    data.add_argument("--u", help="solution data literal (differentiated first)")
     p.add_argument("--f", required=True, help="source literal")
     p.add_argument("--lambda", dest="lam", type=float, default=0.5)
     p.add_argument("--Lambda", dest="Lam", type=float, default=2.0)
@@ -378,8 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="fit the two-sided scaling C1 rho^alpha <= inf|K_rho| <= sup|K_rho| <= C2 rho^beta "
         "of the level-band measures of F",
     )
-    p.add_argument("--f", default=None, help="source literal (integrated to F)")
-    p.add_argument("--F", default=None, help="primitive literal (used directly)")
+    data = p.add_mutually_exclusive_group(required=True)
+    data.add_argument("--f", help="source literal (integrated to F)")
+    data.add_argument("--F", help="primitive literal (used directly)")
     p.add_argument("--rho-min", dest="rho_min", type=float, default=None)
     p.add_argument("--rho-max", dest="rho_max", type=float, default=None)
     p.add_argument("--rho-points", dest="rho_points", type=int, default=10)
@@ -395,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument("--f", required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--alpha", type=float, default=None, help="band-measure growth exponent")
+    p.add_argument("--alpha", type=float, default=None,
+                   help="band-measure growth exponent; give both or neither (then fitted)")
     p.add_argument("--beta", type=float, default=None, help="band-measure flatness exponent")
     _add_common(p, 4096, interval=True)
     p.set_defaults(run=_cmd_holder)
@@ -483,18 +475,16 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = ap.parse_args(argv, argparse.Namespace(argv=tuple(argv)))
-    if args.command == "recover" and not (args.du or args.u):
-        ap.error("recover needs --du or --u")
-    if args.command == "exponents" and not (args.f or args.F):
-        ap.error("exponents needs --f or --F")
     try:
-        return args.run(args)
+        rep, extra = args.run(args)
+        _emit(args, rep, extra)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    return 0 if rep.passed else 1
 
 
 if __name__ == "__main__":

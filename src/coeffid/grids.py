@@ -173,14 +173,6 @@ class GridFunction1D:
             raise ValueError("values length does not match n + 1")
         return cls(Interval(float(lo), float(hi)), vals)
 
-    def to_json(self) -> str:
-        d = self.to_json_dict()
-        parts = ", ".join(fmt_float(v) for v in d["values"])
-        return (
-            f'{{"interval": [{fmt_float(d["interval"][0])}, {fmt_float(d["interval"][1])}], '
-            f'"n": {d["n"]}, "values": [{parts}]}}'
-        )
-
     @classmethod
     def from_json(cls, text: str) -> "GridFunction1D":
         return cls.from_json_dict(json.loads(text))

@@ -15,7 +15,10 @@ verification report still carries the documented slack factor
 
 Every linear solve is a sparse LU factorization (symmetric minimum-degree
 ordering) followed by triangular solves; a factor is reused for every
-right-hand side that shares its matrix.
+right-hand side that shares its matrix. The mesh matrices are assembled once
+per (nx, ny, m) workspace. Block H^-1 norms solve on block 0's interior
+Laplacian and mass rows, sliced from that workspace: every block of a uniform
+partition has the same local matrices, so one factor serves them all.
 """
 
 from __future__ import annotations
@@ -107,15 +110,15 @@ class PwConstCoefficient:
         return cls(Partition2D(int(d["nx"]), int(d["ny"])), np.asarray(d["coeffs"], dtype=float))
 
 
-def _box_triangles(mx: int, my: int) -> np.ndarray:
-    """Triangle node triples for an mx x my cell box, nodes indexed
-    iy*(mx+1) + ix. Each cell yields (n00,n10,n11) and (n00,n11,n01)."""
-    cx, cy = np.meshgrid(np.arange(mx), np.arange(my), indexing="xy")
+def _box_triangles(m: int) -> np.ndarray:
+    """Triangle node triples for the m x m cell mesh, nodes indexed
+    iy*(m+1) + ix. Each cell yields (n00,n10,n11) and (n00,n11,n01)."""
+    cx, cy = np.meshgrid(np.arange(m), np.arange(m), indexing="xy")
     cx = cx.ravel()
     cy = cy.ravel()
-    n00 = cy * (mx + 1) + cx
+    n00 = cy * (m + 1) + cx
     n10 = n00 + 1
-    n01 = n00 + (mx + 1)
+    n01 = n00 + (m + 1)
     n11 = n01 + 1
     t1 = np.stack([n00, n10, n11], axis=1)
     t2 = np.stack([n00, n11, n01], axis=1)
@@ -155,35 +158,32 @@ class _Workspace:
             raise ValueError("mesh resolution m must not exceed 512")
         if m % nx or m % ny:
             raise ValueError("mesh must resolve partition: m must be a multiple of nx and ny")
-        self.partition = Partition2D(nx, ny)
-        self.m = m
-        self.h = 1.0 / m
         nn = (m + 1) * (m + 1)
         self.n_nodes = nn
+        self.mx, self.my = mx, my = m // nx, m // ny
+        nodes = np.arange(nn).reshape(m + 1, m + 1)
+        self.interior = inner = nodes[1:-1, 1:-1].ravel()
 
-        tri = _box_triangles(m, m)
+        tri = _box_triangles(m)
         self.tri = tri
         # block of each triangle, via its cell
-        cell = np.arange(m * m)
-        cx = cell % m
-        cy = cell // m
-        bx = cx // (m // nx)
-        by = cy // (m // ny)
-        cell_block = by * nx + bx
-        self.tri_block = np.repeat(cell_block, 2)
-
-        ix = np.arange(nn) % (m + 1)
-        iy = np.arange(nn) // (m + 1)
-        self.boundary = (ix == 0) | (ix == m) | (iy == 0) | (iy == m)
-        self.interior = np.nonzero(~self.boundary)[0]
-        inner = self.interior
+        cy, cx = np.divmod(np.arange(m * m), m)
+        self.tri_block = np.repeat((cy // my) * nx + cx // mx, 2)
         # each block over its own triangles only, restricted to interior nodes
         self.stiff_blocks_int = [
             _assemble(tri[self.tri_block == blk], _STIFF, nn)[inner][:, inner].tocsr()
             for blk in range(nx * ny)
         ]
         self.laplacian = _assemble(tri, _STIFF, nn)
-        self.mass = _assemble(tri, _MASS * (0.5 * self.h * self.h), nn)
+        h = 1.0 / m
+        self.mass = _assemble(tri, _MASS * (0.5 * h * h), nn)
+        # block 0's Laplacian on its interior nodes and its mass rows over the
+        # closed block: the rows of interior nodes see only block 0's
+        # triangles, and every block of a uniform partition has these matrices
+        block_inner = nodes[1:my, 1:mx].ravel()
+        self.block_laplacian = self.laplacian[block_inner][:, block_inner].tocsr()
+        self.block_lu = _factor(self.block_laplacian)
+        self.block_mass = self.mass[block_inner][:, nodes[: my + 1, : mx + 1].ravel()].tocsr()
 
     def stiffness(self, coeffs: np.ndarray) -> sp.csr_matrix:
         K = coeffs[0] * self.stiff_blocks_int[0]
@@ -266,37 +266,21 @@ def grad_norm_by_block(u: np.ndarray, partition: Partition2D, m: int) -> np.ndar
     return np.sqrt(per_block)
 
 
-@lru_cache(maxsize=16)
-def _block_laplacian(mx: int, my: int, m: int):
-    """Interior Laplacian of one mx x my cell block at mesh width 1/m, its
-    factor, and the interior rows of the block mass matrix."""
-    tri = _box_triangles(mx, my)
-    nn = (mx + 1) * (my + 1)
-    ix = np.arange(nn) % (mx + 1)
-    iy = np.arange(nn) // (mx + 1)
-    interior = np.nonzero((ix > 0) & (ix < mx) & (iy > 0) & (iy < my))[0]
-    K = _assemble(tri, _STIFF, nn)[interior][:, interior].tocsr()
-    M = _assemble(tri, _MASS * (0.5 / (m * m)), nn)[interior]
-    return K, _factor(K), M
-
-
 def hminus1_norm(f, partition: Partition2D, block: int, m: int) -> float:
     """Discrete H^-1 norm of f on one block: solve -Lap w = f with zero data
     on the block boundary and return |grad w|_{L2(block)}. Every block of a
-    uniform partition shares one local matrix, factored once per (mx, my, m)."""
+    uniform partition shares block 0's Laplacian, factor and mass rows, which
+    the workspace slices from its own matrices and factors once."""
     if not 0 <= block < partition.n_blocks:
         raise ValueError(f"block must lie in [0, {partition.n_blocks})")
-    if m % partition.nx or m % partition.ny:
-        raise ValueError("mesh must resolve partition: m must be a multiple of nx and ny")
-    mx = m // partition.nx
-    my = m // partition.ny
+    ws = _workspace(partition.nx, partition.ny, m)
+    mx, my = ws.mx, ws.my
     by, bx = divmod(block, partition.nx)
 
     field = as_nodal_field(f, m)
     sub = field[by * my : by * my + my + 1, bx * mx : bx * mx + mx + 1]
-    K, lu, M = _block_laplacian(mx, my, m)
-    w = lu.solve(M @ sub.ravel())
-    return float(math.sqrt(max(w @ (K @ w), 0.0)))
+    w = ws.block_lu.solve(ws.block_mass @ sub.ravel())
+    return float(math.sqrt(max(w @ (ws.block_laplacian @ w), 0.0)))
 
 
 def verify_pw_bound(

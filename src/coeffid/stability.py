@@ -210,10 +210,13 @@ def verify_holder(
     b: GridFunction1D,
     f: GridFunction1D,
     p: float,
-    fit: ExponentFit,
+    alpha: float,
+    beta: float,
     bounds: CoefficientBounds | None = None,
 ) -> HolderReport:
-    """Measure both sides of |a - b|_{Lp} <= C |u'_a - u'_b|_{L2}^exponent.
+    """Measure both sides of |a - b|_{Lp} <= C |u'_a - u'_b|_{L2}^exponent,
+    with exponent = holder_exponent(p, alpha, beta) for the band-measure
+    exponents (alpha, beta) of f's primitive, e.g. from fit_exponents.
 
     Raises when the right side vanishes (below ZERO_TOL relative to the
     coefficients' size) while the left does not, which on admissible inputs
@@ -225,7 +228,7 @@ def verify_holder(
     lhs = lp_norm(a - b, p)
     rhs = lp_norm(sol_a.du - sol_b.du, 2.0)
     eta = abs(sol_a.Ca - sol_b.Ca)
-    exponent = float(holder_exponent(p, fit.alpha, fit.beta))
+    exponent = float(holder_exponent(p, alpha, beta))
 
     scale = 1.0 + float(np.abs(a.values).max()) + float(np.abs(b.values).max())
     if rhs <= ZERO_TOL * scale:
@@ -241,7 +244,7 @@ def verify_holder(
         exponent=exponent,
         constant_needed=lhs / rhs**exponent,
         eta=eta,
-        c0_implied=eta / rhs ** (p / (p + fit.alpha)),
+        c0_implied=eta / rhs ** (p / (p + alpha)),
     )
 
 

@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths they validate: the 1D oracle is a
 banded finite-difference discretization solved directly, the 2D oracle is the
-classical double-sine series for the unit-square Poisson problem.
+classical double-sine series for the unit-square Poisson problem, and the
+block H^-1 norm is a dense solve of the 5-point stencil.
 """
 
 import numpy as np
@@ -66,3 +67,34 @@ def quadratic_band_measure(M: float, rho: float) -> float:
         return x4 - x1
     x2, x3 = lo_band
     return (x2 - x1) + (x4 - x3)
+
+
+def block_hminus1_dense(f, nx: int, ny: int, block: int, m: int) -> float:
+    """Discrete H^-1 norm of f on one block of an nx x ny partition of the
+    unit square at mesh width 1/m: solve K w = b densely on the block's
+    interior nodes and return sqrt(w . K w).
+
+    K is the 5-point stencil, which is the P1 stiffness on right triangles cut
+    along the (1, 1) diagonal. b is the P1 consistent-mass load: h^2/2 times f
+    at the node plus h^2/12 times f at each of its six mesh neighbours, the
+    four axis neighbours and the diagonal pair (+1, +1), (-1, -1).
+    """
+    mx, my = m // nx, m // ny
+    by, bx = divmod(block, nx)
+    h = 1.0 / m
+    X, Y = np.meshgrid((bx * mx + np.arange(mx + 1)) * h, (by * my + np.arange(my + 1)) * h)
+    fv = np.broadcast_to(np.asarray(f(X, Y), dtype=float), X.shape)
+    nodes = [(i, j) for j in range(1, my) for i in range(1, mx)]
+    index = {node: k for k, node in enumerate(nodes)}
+    K = np.zeros((len(nodes), len(nodes)))
+    b = np.zeros(len(nodes))
+    axis = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    ring = axis + ((1, 1), (-1, -1))
+    for k, (i, j) in enumerate(nodes):
+        K[k, k] = 4.0
+        for di, dj in axis:
+            if (i + di, j + dj) in index:
+                K[k, index[i + di, j + dj]] = -1.0
+        b[k] = h * h / 2.0 * fv[j, i] + h * h / 12.0 * sum(fv[j + dj, i + di] for di, dj in ring)
+    w = np.linalg.solve(K, b)
+    return float(np.sqrt(w @ K @ w))

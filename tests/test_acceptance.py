@@ -25,7 +25,6 @@ from coeffid.pw2d import (
 )
 from coeffid.stability import (
     DyadicFamily,
-    ExponentFit,
     dyadic_build,
     dyadic_rate,
     holder_exponent,
@@ -95,15 +94,13 @@ def test_criterion_03_holder_exponents_and_constants():
     n = 1024
     rng = np.random.default_rng(7)
     f = GridFunction1D.const(1.0, UNIT, n)
-    fit = ExponentFit(alpha=1.0, beta=1.0, C1=2.0, C2=2.0, rho_grid=(),
-                      residual=0.0, beta_degenerate=False, inf_curve=(), sup_curve=())
     x = np.linspace(0.0, 1.0, n + 1)
     consts = []
     for _ in range(100):
         knots = np.linspace(0.0, 1.0, 5)
         a = GridFunction1D(UNIT, np.interp(x, knots, rng.uniform(0.6, 1.9, 5)))
         b = GridFunction1D(UNIT, np.interp(x, knots, rng.uniform(0.6, 1.9, 5)))
-        rep = verify_holder(a, b, f, 2.0, fit, bounds=BOUNDS)
+        rep = verify_holder(a, b, f, 2.0, 1.0, 1.0, bounds=BOUNDS)
         assert rep.exponent == pytest.approx(2.0 / 9.0)
         consts.append(rep.constant_needed)
     baseline = max(consts)

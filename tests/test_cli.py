@@ -276,3 +276,59 @@ def test_pw2d_recover_rejects_inadmissible_truth(tmp_path, capsys):
 
 def test_pw2d_verify_needs_a_trial():
     assert run(["pw2d", "verify", "--m", "16", "--trials", "0"]) == 2
+
+
+_SMALL_RUNS = {
+    "forward": ["forward", "--a", "const:1", "--f", "const:1", "--n", "64"],
+    "recover": ["recover", "--du", "linear:1,-2", "--f", "const:2", "--n", "64"],
+    "exponents": ["exponents", "--f", "const:1", "--n", "256"],
+    "holder": ["holder", "--a", "const:1", "--b", "const:1.5", "--f", "const:1", "--p", "2",
+               "--alpha", "1", "--beta", "1", "--n", "256"],
+    "dyadic": ["dyadic", "--alpha", "2", "--beta", "0", "--p", "1", "--jmax", "6",
+               "--n", "4096"],
+    "volterra": ["counterexample", "volterra", "--level", "2", "--n", "512"],
+    "inhomogeneous": ["counterexample", "inhomogeneous", "--n", "64"],
+    "coarea": ["coarea", "--h", "linear:0,1", "--n", "64", "--t-start", "0.5"],
+    "pw2d verify": ["pw2d", "verify", "--m", "8", "--trials", "2", "--seed", "1"],
+    "pw2d recover": ["pw2d", "recover", "--truth", "t.json", "--m", "8"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(_SMALL_RUNS))
+def test_out_spelling_leaves_outputs_byte_identical(cmd, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.json").write_text(json.dumps({"nx": 2, "ny": 2, "coeffs": [1.0, 1.4, 0.9, 1.1]}))
+    spellings = {"d1": ["--out=d1"], "d2": ["--out", "d2"], "d3": ["--ou", "d3"]}
+    for flags in spellings.values():
+        assert run(_SMALL_RUNS[cmd] + flags) == 0
+    written = [{p.name: p.read_bytes() for p in (tmp_path / d).iterdir()} for d in spellings]
+    assert "manifest.json" in written[0]
+    assert written[0] == written[1] == written[2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["recover", "--du", "linear:1,-2", "--u", "linear:0,1", "--f", "const:2"],
+    ["exponents", "--f", "const:1", "--F", "linear:0,2"],
+])
+def test_data_source_flags_are_exclusive(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["recover", "--du", "", "--f", "const:2"],
+    ["exponents", "--F", ""],
+])
+def test_empty_data_literal_exit_2(argv, capsys):
+    assert run(argv) == 2
+    assert "malformed function literal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+def test_holder_needs_both_exponents_or_neither(flag, capsys):
+    code = run(["holder", "--a", "const:1", "--b", "const:1.5", "--f", "const:1", "--p", "2",
+                flag, "1", "--n", "256"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--alpha and --beta" in err

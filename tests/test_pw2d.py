@@ -17,7 +17,7 @@ from coeffid.pw2d import (
     verify_pw_bound,
 )
 
-from oracles import poisson_square_series
+from oracles import block_hminus1_dense, poisson_square_series
 
 FULL = Partition2D(1, 1)
 BOUNDS = CoefficientBounds(0.5, 2.0)
@@ -128,6 +128,15 @@ def test_grad_norm_by_block_rejects_wrong_node_count():
 
 def test_hminus1_zero_source():
     assert hminus1_norm(0.0, Partition2D(2, 2), 1, 32) == 0.0
+
+
+def test_hminus1_matches_dense_stencil_on_non_square_blocks():
+    part, m = Partition2D(4, 2), 48
+    f = lambda x, y: 1.0 + np.sin(3.0 * x) * y + x * x
+    for blk in range(part.n_blocks):
+        ref = block_hminus1_dense(f, part.nx, part.ny, blk, m)
+        assert hminus1_norm(f, part, blk, m) == pytest.approx(ref, rel=1e-10)
+    assert len({hminus1_norm(1.0, part, blk, m) for blk in range(part.n_blocks)}) == 1
 
 
 def test_hminus1_quarter_block_rescaling():

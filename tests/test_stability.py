@@ -179,7 +179,8 @@ def test_verify_holder_identical_pair():
     n = 1024
     a = GridFunction1D.const(1.0, UNIT, n)
     f = GridFunction1D.const(1.0, UNIT, n)
-    rep = verify_holder(a, a, f, 2.0, _unit_fit())
+    fit = _unit_fit()
+    rep = verify_holder(a, a, f, 2.0, fit.alpha, fit.beta)
     assert rep.lhs == 0.0
     assert rep.constant_needed == 0.0
 
@@ -189,7 +190,8 @@ def test_verify_holder_constant_pair():
     a = GridFunction1D.const(1.0, UNIT, n)
     b = GridFunction1D.const(1.5, UNIT, n)
     f = GridFunction1D.const(1.0, UNIT, n)
-    rep = verify_holder(a, b, f, 2.0, _unit_fit())
+    fit = _unit_fit()
+    rep = verify_holder(a, b, f, 2.0, fit.alpha, fit.beta)
     assert rep.exponent == pytest.approx(2.0 / 9.0, abs=0.02)
     assert np.isfinite(rep.constant_needed) and rep.constant_needed > 0
     assert rep.eta > 0
@@ -207,7 +209,7 @@ def test_verify_holder_bounded_over_random_pairs():
         cb = rng.uniform(0.6, 1.9, 3)
         a = GridFunction1D(UNIT, np.interp(x, [0.0, 0.5, 1.0], ca))
         b = GridFunction1D(UNIT, np.interp(x, [0.0, 0.5, 1.0], cb))
-        rep = verify_holder(a, b, f, 2.0, fit, bounds=CoefficientBounds(0.5, 2.0))
+        rep = verify_holder(a, b, f, 2.0, fit.alpha, fit.beta, bounds=CoefficientBounds(0.5, 2.0))
         consts.append(rep.constant_needed)
     assert np.isfinite(max(consts))
 
@@ -219,8 +221,9 @@ def test_verify_holder_flags_violation_on_degenerate_source():
     a = GridFunction1D.const(1.0, UNIT, n)
     b = GridFunction1D.const(1.5, UNIT, n)
     f = GridFunction1D.const(0.0, UNIT, n)
+    fit = _unit_fit()
     with pytest.raises(RuntimeError, match="identifiability violation"):
-        verify_holder(a, b, f, 2.0, _unit_fit())
+        verify_holder(a, b, f, 2.0, fit.alpha, fit.beta)
 
 
 # -- dyadic family ---------------------------------------------------------------

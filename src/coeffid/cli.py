@@ -44,6 +44,7 @@ from .stability import (
     DyadicFamily,
     dyadic_rate,
     fit_exponents,
+    holder_exponent,
     verify_holder,
 )
 
@@ -198,6 +199,8 @@ def _cmd_exponents(args):
 def _cmd_holder(args):
     if (args.alpha is None) != (args.beta is None):
         raise ValueError("--alpha and --beta must be given together")
+    if args.alpha is not None:
+        holder_exponent(args.p, args.alpha, args.beta)  # raises on out-of-range exponents
     iv = Interval(args.lo, args.hi)
     a = _parse_grid_function(args.a, iv, args.n)
     b = _parse_grid_function(args.b, a.interval, a.n)
@@ -212,7 +215,7 @@ def _cmd_holder(args):
         name="holder",
         inputs={"a": args.a, "b": args.b, "f": args.f, "p": args.p,
                 "alpha": alpha, "beta": beta},
-        passed=not (flat or beta <= 0.0),
+        passed=not flat,
     )
     if rep.passed:
         hr = verify_holder(a, b, f, args.p, alpha, beta)

@@ -302,6 +302,7 @@ def verify_pw_bound(
         raise ValueError("coefficient pair must share one partition")
     part = a.partition
     Lam = bounds.Lam if bounds is not None else float(max(a.coeffs.max(), b.coeffs.max()))
+    f = as_nodal_field(f, m)  # sample a callable source once for every use below
 
     u_a = fem_solve(a, f, m)
     u_b = fem_solve(b, f, m)
@@ -368,6 +369,7 @@ def recover_pw(
     if u_flat.size != ws.n_nodes:
         raise ValueError("u_meas does not match the mesh")
 
+    f = as_nodal_field(f, m)  # sample a callable source once for every use below
     hm = np.array([hminus1_norm(f, partition, i, m) for i in range(partition.n_blocks)])
     mid = 0.5 * (bounds.lam + bounds.Lam)
     if hm.min() <= 1e-12 * (1.0 + hm.max()):
@@ -381,7 +383,7 @@ def recover_pw(
 
     nb = partition.n_blocks
     inner = ws.interior
-    b_int = (ws.mass @ as_nodal_field(f, m).ravel())[inner]
+    b_int = (ws.mass @ f.ravel())[inner]
     A = np.column_stack([Kb @ u_flat[inner] for Kb in ws.stiff_blocks_int])
     coeffs = np.clip(np.linalg.lstsq(A, b_int, rcond=None)[0], bounds.lam, bounds.Lam)
 

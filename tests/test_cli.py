@@ -332,3 +332,15 @@ def test_holder_needs_both_exponents_or_neither(flag, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--alpha and --beta" in err
+
+
+@pytest.mark.parametrize("alpha, beta", [("1", "0"), ("1", "-0.5"), ("-1", "0.5")])
+def test_holder_out_of_range_exponents_exit_2(alpha, beta, tmp_path, capsys):
+    # user-given exponents are inputs, not a fitted flat primitive
+    out = tmp_path / "hx"
+    code = run(["holder", "--a", "const:1", "--b", "const:1.5", "--f", "const:1", "--p", "2",
+                "--alpha", alpha, "--beta", beta, "--n", "64", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not out.exists()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from coeffid.gmt import (
     LevelSetProfile,
+    _perimeters_between_events,
     coarea_check,
     coarea_integral,
     good_levels,
@@ -86,6 +87,45 @@ def test_coarea_on_indicator_profile():
     h = g.with_values(amp * indicator_values(g.x, -0.25, 0.25, domain=g.interval))
     assert total_variation(h) == pytest.approx(2 * amp, abs=1e-15)
     assert coarea_integral(h) == pytest.approx(2 * amp, abs=1e-15)
+
+
+def test_coarea_adjacent_float_events():
+    # consecutive events one ulp apart: a band midpoint would round onto an
+    # event and lose the band
+    up = np.nextafter(0.5, 1.0)
+    h = GridFunction1D(UNIT, np.array([0.5, up, 0.5, up, np.nextafter(up, 1.0), 0.5]))
+    assert total_variation(h) > 0.0
+    assert coarea_integral(h) == total_variation(h)
+    assert coarea_check(h).passed
+
+
+def test_coarea_check_constant_profile_at_large_magnitude():
+    # vmin -+ 1 rounds to vmin itself, so the level grid collapses
+    rep = coarea_check(GridFunction1D.const(1e17, UNIT, 16))
+    assert rep.passed
+    assert rep.curves["t"] == [1e17]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-100, 100), st.integers(1, 4)), min_size=2, max_size=60))
+def test_band_counts_match_level_perimeter(runs):
+    # plateaus and repeated values, two decimals: each band's count is the
+    # crossing count at a level strictly inside it
+    values = np.repeat([k / 100.0 for k, _ in runs], [r for _, r in runs])
+    h = GridFunction1D(UNIT, values)
+    events = np.unique(values)
+    counts = _perimeters_between_events(h, events)
+    for k, c in enumerate(counts):
+        t = 0.5 * (events[k] + events[k + 1])
+        assert events[k] < t < events[k + 1]
+        assert c == level_perimeter(h, t)
+
+
+def test_coarea_check_large_profile():
+    # n = 2^18 is minutes for a cell-by-band scan; sorted counting is O(n log n)
+    rng = np.random.default_rng(3)
+    h = random_piecewise_linear(rng, n_break=200, n=2**18)
+    assert coarea_check(h).metrics["rel_error"] < 1e-12
 
 
 def test_coarea_nlevels_validation():

@@ -8,6 +8,7 @@ from coeffid.grids import CoefficientBounds
 from coeffid.pw2d import (
     Partition2D,
     PwConstCoefficient,
+    as_nodal_field,
     build_system,
     fem_solve,
     field_to_json_dict,
@@ -236,6 +237,29 @@ def test_recover_degenerate_source_warns():
     assert not res.converged
     assert "arbitrary" in res.warning
     assert res.coeff.admissible(BOUNDS)
+
+
+def test_callable_source_sampled_once_per_call():
+    calls = []
+
+    def f(x, y):
+        calls.append(1)
+        return 1.0 + x * y
+
+    part = Partition2D(2, 2)
+    m = 16
+    truth = PwConstCoefficient(part, np.array([1.0, 1.5, 0.8, 1.2]))
+    u_meas = fem_solve(truth, f, m)
+    nodal = as_nodal_field(f, m)
+    calls.clear()
+    res = recover_pw(u_meas, f, part, BOUNDS, m)
+    assert len(calls) == 1
+    ref = recover_pw(u_meas, nodal, part, BOUNDS, m)
+    assert res.coeff.coeffs.tobytes() == ref.coeff.coeffs.tobytes()
+    calls.clear()
+    rep = verify_pw_bound(truth, const_coeff(1.0, part), f, m)
+    assert len(calls) == 1
+    assert rep.curves == verify_pw_bound(truth, const_coeff(1.0, part), nodal, m).curves
 
 
 def test_field_serialization_layout():

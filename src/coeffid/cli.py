@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 from pathlib import Path
 
@@ -28,6 +27,7 @@ from .grids import (
     derivative,
     fmt_float,
     load_grid_function,
+    read_json,
 )
 from .inverse import recover
 from .pw2d import (
@@ -83,22 +83,28 @@ def _argv_without_out(argv) -> list:
 
 
 def _emit(args, report: ExperimentReport, extra: dict) -> None:
-    """Print the report, or write it with the extra {filename: text} files
-    and a manifest of their checksums into --out."""
+    """Print the report, or write it with the extra {filename: object} files
+    as canonical JSON and a manifest of their checksums into --out."""
     if args.out is None:
         print(report.to_json())
         return
     stem = "_".join(filter(None, (args.command, getattr(args, "kind", None))))
-    files = {}
-    if args.fmt in ("json", "both"):
-        files[f"{stem}.json"] = report.to_json()
-    if args.fmt in ("csv", "both") and report.curves:
-        files[f"{stem}.csv"] = report.curves_csv()
-    files.update(extra)
+    # one memo for every file of the run: each float column is formatted once
+    memo: dict = {}
+
+    def render():
+        if args.fmt in ("json", "both"):
+            yield f"{stem}.json", report.to_json(memo)
+        if args.fmt in ("csv", "both") and report.curves:
+            yield f"{stem}.csv", report.curves_csv(memo)
+        for name, obj in extra.items():
+            yield name, canonical_json(obj, memo)
+
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     written = {}
-    for name, text in files.items():
+    # files are written as they are rendered, so only one text is held at a time
+    for name, text in render():
         data = text.encode()
         (outdir / name).write_bytes(data)
         written[name] = hashlib.sha256(data).hexdigest()
@@ -117,7 +123,7 @@ def _emit(args, report: ExperimentReport, extra: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (report, {filename: text} extra files)
+# subcommand handlers: each returns (report, {filename: object} extra files)
 # ---------------------------------------------------------------------------
 
 
@@ -135,15 +141,12 @@ def _cmd_forward(args):
             "boundary_residual": sol.boundary_residual,
             "u_mid": float(sol.u.values[a.n // 2]),
         },
-        curves={"x": list(a.x), "u": list(sol.u.values), "du": list(sol.du.values),
-                "F": list(sol.F.values)},
+        curves={"x": a.x, "u": sol.u.values, "du": sol.du.values, "F": sol.F.values},
         passed=True,
     )
-    payload = canonical_json(
-        {"Ca": sol.Ca, "u": sol.u.to_json_dict(), "du": sol.du.to_json_dict(),
-         "F": sol.F.to_json_dict()}
-    )
-    return rep, {"solution.json": payload}
+    solution = {"Ca": sol.Ca, "u": sol.u.to_json_dict(), "du": sol.du.to_json_dict(),
+                "F": sol.F.to_json_dict()}
+    return rep, {"solution.json": solution}
 
 
 def _cmd_recover(args):
@@ -164,12 +167,11 @@ def _cmd_recover(args):
             "fraction_degenerate": res.fraction_degenerate,
             "n_clamped": res.n_clamped,
         },
-        curves={"x": list(du.x), "a": list(res.a.values),
-                "masked": [int(v) for v in res.degenerate_mask]},
+        curves={"x": du.x, "a": res.a.values, "masked": res.degenerate_mask.astype(int)},
         passed=True,
         notes=f"zero candidates: {[fmt_float(c) for c in res.candidates][:8]}",
     )
-    return rep, {"coefficient.json": canonical_json(res.a.to_json_dict())}
+    return rep, {"coefficient.json": res.a.to_json_dict()}
 
 
 def _cmd_exponents(args):
@@ -189,8 +191,8 @@ def _cmd_exponents(args):
                 "rho_points": args.rho_points, "M_points": args.M_points},
         metrics={"alpha": fit.alpha, "beta": fit.beta, "C1": fit.C1, "C2": fit.C2,
                  "residual": fit.residual, "beta_degenerate": fit.beta_degenerate},
-        curves={"rho": list(fit.rho_grid), "inf_measure": list(fit.inf_curve),
-                "sup_measure": list(fit.sup_curve)},
+        curves={"rho": fit.rho_grid, "inf_measure": fit.inf_curve,
+                "sup_measure": fit.sup_curve},
         passed=True,
     )
     return rep, {}
@@ -247,9 +249,8 @@ def _cmd_counterexample(args):
         inputs=inputs,
         metrics={"residual_a": pair.residual_a, "residual_b": pair.residual_b,
                  "coeff_gap": pair.coeff_gap},
-        curves={"x": list(pair.a.x), "a": list(pair.a.values), "b": list(pair.b.values),
-                "u": list(pair.u.values), "du": list(pair.du.values),
-                "f": list(pair.f.values)},
+        curves={"x": pair.a.x, "a": pair.a.values, "b": pair.b.values, "u": pair.u.values,
+                "du": pair.du.values, "f": pair.f.values},
         passed=pair.residual_a < bar and pair.residual_b < bar and pair.coeff_gap > 0.1,
     )
     return rep, {}
@@ -287,14 +288,14 @@ def _cmd_pw2d_verify(args):
         inputs={"nx": args.nx, "ny": args.ny, "m": args.m, "trials": args.trials,
                 "seed": args.seed, "lambda": bounds.lam, "Lambda": bounds.Lam},
         metrics={"worst_ratio": max(ratios), "slack": trials[0].inputs["slack"]},
-        curves={"trial": list(range(args.trials)), "max_ratio": ratios},
+        curves={"trial": np.arange(args.trials), "max_ratio": np.array(ratios)},
         passed=all(t.passed for t in trials),
     )
     return rep, {}
 
 
 def _cmd_pw2d_recover(args):
-    truth = PwConstCoefficient.from_json_dict(json.loads(Path(args.truth).read_text()))
+    truth = read_json(args.truth, PwConstCoefficient.from_json_dict)
     bounds = CoefficientBounds(args.lam, args.Lam)
     if not truth.admissible(bounds):
         raise ValueError(f"truth coefficients outside [{bounds.lam}, {bounds.Lam}]")
@@ -307,12 +308,12 @@ def _cmd_pw2d_recover(args):
                 "nx": truth.partition.nx, "ny": truth.partition.ny},
         metrics={"max_abs_error": float(errs.max()), "sweeps": res.sweeps,
                  "objective": res.objective, "converged": res.converged},
-        curves={"block": list(range(truth.partition.n_blocks)),
-                "truth": list(truth.coeffs), "recovered": list(res.coeff.coeffs)},
+        curves={"block": np.arange(truth.partition.n_blocks), "truth": truth.coeffs,
+                "recovered": res.coeff.coeffs},
         passed=bool(res.converged and res.warning is None),
         notes=res.warning or "",
     )
-    return rep, {"u_meas.json": canonical_json(field_to_json_dict(u_meas))}
+    return rep, {"u_meas.json": field_to_json_dict(u_meas)}
 
 
 # ---------------------------------------------------------------------------

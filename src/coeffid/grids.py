@@ -34,6 +34,40 @@ def fmt_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+# rows per write in GridFunction1D.to_csv
+_CSV_CHUNK = 4096
+
+
+def json_fields(d, keys: tuple) -> list:
+    """The values of keys in a decoded JSON object, in order. Anything but an
+    object, or an object missing a key, raises ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+    missing = [k for k in keys if k not in d]
+    if missing:
+        raise ValueError(f"JSON object lacks {', '.join(map(repr, missing))}")
+    return [d[k] for k in keys]
+
+
+def json_count(v, name: str) -> int:
+    """A JSON number that must be a whole number: 2 and 2.0 pass, 2.7 is
+    rejected rather than truncated."""
+    whole = isinstance(v, int) or (isinstance(v, float) and v.is_integer())
+    if isinstance(v, bool) or not whole:
+        raise ValueError(f"{name} must be a whole number, got {v!r}")
+    return int(v)
+
+
+def read_json(path, from_dict):
+    """from_dict of the JSON value in path. A malformed file raises ValueError
+    naming it; a TypeError there means a field of the wrong JSON type."""
+    p = Path(path)
+    try:
+        return from_dict(json.loads(p.read_text()))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{p}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class Interval:
     """A nonempty bounded interval (lo, hi)."""
@@ -162,14 +196,14 @@ class GridFunction1D:
         return {
             "interval": [self.interval.lo, self.interval.hi],
             "n": self.n,
-            "values": list(self.values),
+            "values": self.values,
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GridFunction1D":
-        lo, hi = d["interval"]
-        vals = np.asarray(d["values"], dtype=float)
-        if len(vals) != d["n"] + 1:
+        (lo, hi), n, values = json_fields(d, ("interval", "n", "values"))
+        vals = np.asarray(values, dtype=float)
+        if vals.ndim != 1 or len(vals) != json_count(n, "n") + 1:
             raise ValueError("values length does not match n + 1")
         return cls(Interval(float(lo), float(hi)), vals)
 
@@ -178,26 +212,33 @@ class GridFunction1D:
         return cls.from_json_dict(json.loads(text))
 
     def to_csv(self, path) -> None:
-        xs = self.x
+        """Write an 'x,value' header and one row per node at 17 significant
+        digits, in the bytes csv.writer gives (CRLF line ends), a chunk of
+        rows per write."""
+        rows = np.column_stack((self.x, self.values))
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "value"])
-            for xi, vi in zip(xs, self.values):
-                w.writerow([fmt_float(xi), fmt_float(vi)])
+            fh.write("x,value\r\n")
+            for i in range(0, len(rows), _CSV_CHUNK):
+                chunk = rows[i:i + _CSV_CHUNK]
+                fh.write(("%.17g,%.17g\r\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "GridFunction1D":
         xs, vs = [], []
         with open(path, newline="") as fh:
             r = csv.reader(fh)
-            header = next(r)
-            if [c.strip() for c in header[:2]] != ["x", "value"]:
+            header = next(r, [])
+            if [c.strip() for c in header] != ["x", "value"]:
                 raise ValueError(f"expected 'x,value' header in {path}")
-            for row in r:
-                if not row:
-                    continue
-                xs.append(float(row[0]))
-                vs.append(float(row[1]))
+            try:
+                for row in r:
+                    if len(row) == 2:
+                        xs.append(float(row[0]))
+                        vs.append(float(row[1]))
+                    elif row:
+                        raise ValueError(f"expected 2 fields (x,value), got {len(row)}")
+            except ValueError as exc:
+                raise ValueError(f"{path} line {r.line_num}: {exc}") from None
         if len(xs) < 2:
             raise ValueError(f"not enough rows in {path}")
         # the grid is uniform, so x must match its nodes to rounding
@@ -207,7 +248,10 @@ class GridFunction1D:
         if not dev <= 4 * n * np.spacing(max(abs(x[0]), abs(x[-1]))):
             raise ValueError(f"x column in {path} is not uniformly spaced "
                              f"(deviates by {dev:.3g} from a uniform grid)")
-        return cls(Interval(xs[0], xs[-1]), np.asarray(vs))
+        try:
+            return cls(Interval(xs[0], xs[-1]), np.asarray(vs))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def require_same_grid(a: GridFunction1D, b: GridFunction1D) -> None:
@@ -284,5 +328,5 @@ def load_grid_function(path) -> GridFunction1D:
     """Load a grid function from .csv or .json by extension."""
     p = Path(path)
     if p.suffix == ".json":
-        return GridFunction1D.from_json(p.read_text())
+        return read_json(p, GridFunction1D.from_json_dict)
     return GridFunction1D.from_csv(p)

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .grids import CoefficientBounds
+from .grids import CoefficientBounds, json_count, json_fields
 from .report import ExperimentReport
 
 __all__ = [
@@ -107,7 +107,9 @@ class PwConstCoefficient:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PwConstCoefficient":
-        return cls(Partition2D(int(d["nx"]), int(d["ny"])), np.asarray(d["coeffs"], dtype=float))
+        nx, ny, coeffs = json_fields(d, ("nx", "ny", "coeffs"))
+        return cls(Partition2D(json_count(nx, "nx"), json_count(ny, "ny")),
+                   np.asarray(coeffs, dtype=float))
 
 
 def _box_triangles(m: int) -> np.ndarray:
@@ -431,4 +433,4 @@ def field_to_json_dict(u: np.ndarray) -> dict:
     """Flat serialization of a nodal field: {m, values row-major in y}."""
     arr = np.asarray(u, dtype=float)
     side = arr.shape[0]
-    return {"m": side - 1, "values": list(arr.ravel())}
+    return {"m": side - 1, "values": arr.ravel()}

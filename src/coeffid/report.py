@@ -4,6 +4,13 @@ Every verification routine returns an ExperimentReport. Serialization is
 canonical: keys keep insertion order, floats are rendered at 17 significant
 digits, and no timestamps or environment data are embedded, so identical
 inputs produce identical bytes.
+
+Float columns are formatted once per CLI run. A 1-D float64 array renders as
+a column of "%.17g" strings (fmt_float of each value), kept in a memo keyed
+by the array's identity, and the JSON report, the CSV curves and the extra
+files of one run share that memo, so a curve written to three files is
+formatted once. The memo keeps each column as a few ", "-joined chunks rather
+than one string per value, which holds a quarter of the memory.
 """
 
 from __future__ import annotations
@@ -18,9 +25,36 @@ from .grids import fmt_float
 
 __all__ = ["ExperimentReport", "canonical_json"]
 
+# values per chunk of a formatted column, formatted by one % template
+_CHUNK = 4096
+_CHUNK_FMT = ", ".join(["%.17g"] * _CHUNK)
 
-def _render(obj, out: list) -> None:
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+
+def _float_column(arr: np.ndarray, memo: dict) -> list:
+    """The values of a 1-D float64 array as "%.17g" strings joined by ", " in
+    chunks of _CHUNK values, formatted once per memo. The memo holds the array
+    as well, so its id is not reused while the memo lives."""
+    hit = memo.get(id(arr))
+    if hit is None:
+        chunks = []
+        for i in range(0, arr.size, _CHUNK):
+            part = tuple(arr[i:i + _CHUNK].tolist())
+            fmt = _CHUNK_FMT if len(part) == _CHUNK else ", ".join(["%.17g"] * len(part))
+            chunks.append(fmt % part)
+        hit = memo[id(arr)] = (arr, chunks)
+    return hit[1]
+
+
+def _is_float_column(obj) -> bool:
+    return isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64
+
+
+def _render(obj, out: list, memo: dict) -> None:
+    if _is_float_column(obj) and np.isfinite(obj).all():
+        out += ("[", ", ".join(_float_column(obj, memo)), "]")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "iu":
+        out += ("[", ", ".join(map(str, obj.tolist())), "]")
+    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
@@ -41,7 +75,7 @@ def _render(obj, out: list) -> None:
                 out.append(", ")
             out.append(json.dumps(str(k)))
             out.append(": ")
-            _render(v, out)
+            _render(v, out, memo)
         out.append("}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
         out.append("[")
@@ -49,15 +83,17 @@ def _render(obj, out: list) -> None:
         for i, v in enumerate(seq):
             if i:
                 out.append(", ")
-            _render(v, out)
+            _render(v, out, memo)
         out.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
 
 
-def canonical_json(obj) -> str:
+def canonical_json(obj, memo: dict | None = None) -> str:
+    """Canonical JSON text of obj. Pass one memo to every call that renders
+    the same arrays so each float column is formatted once."""
     out: list = []
-    _render(obj, out)
+    _render(obj, out, {} if memo is None else memo)
     return "".join(out)
 
 
@@ -73,7 +109,7 @@ class ExperimentReport:
     passed: bool = True
     notes: str = ""
 
-    def to_json(self) -> str:
+    def to_json(self, memo: dict | None = None) -> str:
         return canonical_json(
             {
                 "name": self.name,
@@ -82,18 +118,24 @@ class ExperimentReport:
                 "curves": self.curves,
                 "passed": self.passed,
                 "notes": self.notes,
-            }
+            },
+            memo,
         )
 
-    def curves_csv(self) -> str:
+    def curves_csv(self, memo: dict | None = None) -> str:
+        """The curves as CSV: a header of curve names, then one row per index
+        with every value at 17 significant digits (bools as 1/0, non-finite
+        values as inf/nan)."""
         if not self.curves:
             return ""
-        keys = list(self.curves.keys())
-        cols = [np.asarray(self.curves[k]).ravel() for k in keys]
-        length = len(cols[0])
-        if any(len(c) != length for c in cols):
+        memo = {} if memo is None else memo
+        arrs = [c if _is_float_column(c) else np.asarray(c, dtype=float).ravel()
+                for c in self.curves.values()]
+        if any(a.size != arrs[0].size for a in arrs):
             raise ValueError("curve columns must have equal length")
-        lines = [",".join(keys)]
-        for i in range(length):
-            lines.append(",".join(fmt_float(c[i]) for c in cols))
-        return "\n".join(lines) + "\n"
+        parts = [",".join(self.curves)]
+        # the columns' chunks line up, so rows are built one chunk at a time
+        for chunks in zip(*(_float_column(a, memo) for a in arrs)):
+            parts.append("\n".join(map(",".join, zip(*(c.split(", ") for c in chunks)))))
+        parts.append("")
+        return "\n".join(parts)

@@ -3,13 +3,18 @@
 These deliberately avoid the code paths they validate: the 1D oracle is a
 banded finite-difference discretization solved directly, the 2D oracle is the
 classical double-sine series for the unit-square Poisson problem, and the
-block H^-1 norm is a dense solve of the 5-point stencil.
+block H^-1 norm is a dense solve of the 5-point stencil. The serialization
+oracles render one element at a time, with no column formatting or memo.
 """
+
+import csv
+import json
+import math
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from coeffid.grids import GridFunction1D
+from coeffid.grids import GridFunction1D, fmt_float
 
 
 def fd_solve(a: GridFunction1D, f: GridFunction1D) -> GridFunction1D:
@@ -98,3 +103,73 @@ def block_hminus1_dense(f, nx: int, ny: int, block: int, m: int) -> float:
         b[k] = h * h / 2.0 * fv[j, i] + h * h / 12.0 * sum(fv[j + dj, i + di] for di, dj in ring)
     w = np.linalg.solve(K, b)
     return float(np.sqrt(w @ K @ w))
+
+
+def _render(obj, out: list) -> None:
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isfinite(x):
+            out.append(fmt_float(x))
+        else:
+            out.append(f'"{x!r}"')
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            if i:
+                out.append(", ")
+            out.append(json.dumps(str(k)))
+            out.append(": ")
+            _render(v, out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        out.append("[")
+        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
+        for i, v in enumerate(seq):
+            if i:
+                out.append(", ")
+            _render(v, out)
+        out.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
+
+
+def canonical_json(obj) -> str:
+    """Canonical JSON rendered element by element: the reference for
+    coeffid.report.canonical_json."""
+    out: list = []
+    _render(obj, out)
+    return "".join(out)
+
+
+def curves_csv(curves: dict) -> str:
+    """The CSV of a report's curves, one fmt_float per value: the reference
+    for ExperimentReport.curves_csv."""
+    if not curves:
+        return ""
+    keys = list(curves.keys())
+    cols = [np.asarray(curves[k]).ravel() for k in keys]
+    length = len(cols[0])
+    if any(len(c) != length for c in cols):
+        raise ValueError("curve columns must have equal length")
+    lines = [",".join(keys)]
+    for i in range(length):
+        lines.append(",".join(fmt_float(c[i]) for c in cols))
+    return "\n".join(lines) + "\n"
+
+
+def grid_csv(g: GridFunction1D, path) -> None:
+    """A grid function written row by row through csv.writer: the reference
+    for GridFunction1D.to_csv."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x", "value"])
+        for xi, vi in zip(g.x, g.values):
+            w.writerow([fmt_float(xi), fmt_float(vi)])

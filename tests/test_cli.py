@@ -344,3 +344,207 @@ def test_holder_out_of_range_exponents_exit_2(alpha, beta, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert not out.exists()
+
+
+_TRUTH_ARGV = ["pw2d", "recover", "--m", "8", "--truth"]
+_DU_ARGV = ["recover", "--f", "const:1", "--du"]
+
+
+_MALFORMED_FILES = [
+    ("one_field.csv", "x,value\n0,1\n0.5\n1,1\n", _DU_ARGV + ["csv:one_field.csv"]),
+    ("three_fields.csv", "x,value\n0,1,9\n0.5,1,9\n1,1,9\n", _DU_ARGV + ["csv:three_fields.csv"]),
+    ("three_headers.csv", "x,value,extra\n0,1\n0.5,1\n1,1\n", _DU_ARGV + ["csv:three_headers.csv"]),
+    ("empty.csv", "", _DU_ARGV + ["csv:empty.csv"]),
+    ("nan.csv", "x,value\n0,1\n0.5,nan\n1,1\n", _DU_ARGV + ["csv:nan.csv"]),
+    ("no_interval.json", '{"n": 2, "values": [1, 1, 1]}', _DU_ARGV + ["json:no_interval.json"]),
+    ("list.json", "[1, 1, 1]", _DU_ARGV + ["json:list.json"]),
+    ("object_values.json", '{"interval": [0, 1], "n": 2, "values": {"a": 1}}',
+     _DU_ARGV + ["json:object_values.json"]),
+    ("no_ny.json", '{"nx": 2, "coeffs": [1.0, 1.2]}', _TRUTH_ARGV + ["no_ny.json"]),
+    ("fractional_nx.json", '{"nx": 2.7, "ny": 2, "coeffs": [1.0, 1.4, 0.9, 1.1]}',
+     _TRUTH_ARGV + ["fractional_nx.json"]),
+]
+
+
+@pytest.mark.parametrize("name, text, argv", _MALFORMED_FILES,
+                         ids=[case[0] for case in _MALFORMED_FILES])
+def test_malformed_input_file_exit_2(name, text, argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(text)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and name in err
+
+
+def _write_pinned_inputs(root):
+    """Input files for the pinned runs; their own bytes are pinned too, so
+    this also covers GridFunction1D.to_csv and canonical_json of a grid."""
+    from coeffid.report import canonical_json
+
+    iv = Interval(0.0, 1.0)
+    du = GridFunction1D.from_callable(lambda x: 0.6 - x + 0.1 * x**3, iv, 128)
+    f = GridFunction1D.from_callable(lambda x: 1.0 + 0.25 * x * x, iv, 128)
+    u = GridFunction1D.from_callable(lambda x: x * (1 - x) * (1 + 0.2 * x), iv, 64)
+    du.to_csv(root / "du.csv")
+    f.to_csv(root / "f.csv")
+    u.to_csv(root / "u.csv")
+    (root / "du.json").write_text(canonical_json(du.to_json_dict()))
+    (root / "f.json").write_text(canonical_json(f.to_json_dict()))
+    x = np.linspace(0.0, 1.0, 3 * 64 + 1)
+    flat = np.where(x < 1 / 3, 1.0, 0.0) - np.where(x > 2 / 3, 1.0, 0.0)
+    GridFunction1D(iv, flat).to_csv(root / "flat.csv")
+    (root / "t.json").write_text(json.dumps({"nx": 2, "ny": 2, "coeffs": [1.0, 1.4, 0.9, 1.1]}))
+
+
+def _sha16(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+# exit code and sha256 (first 16 hex digits) of every file each small --out
+# run writes, taken from the element-by-element renderer (tests/oracles.py).
+# The inputs are polynomials, but the values still pass through numpy and
+# LAPACK/SuperLU, so a platform whose kernels round differently can move a
+# digest.
+_PINNED_RUNS = {
+    "forward": ["forward", "--a", "linear:1,0.5", "--f", "const:1.5", "--n", "64"],
+    "forward json": ["forward", "--a", "linear:1,0.5", "--f", "const:1.5", "--n", "64",
+                     "--format", "json"],
+    "forward csv": ["forward", "--a", "linear:1,0.5", "--f", "const:1.5", "--n", "64",
+                    "--format", "csv"],
+    "recover csv": ["recover", "--du", "csv:du.csv", "--f", "csv:f.csv"],
+    "recover csv json": ["recover", "--du", "csv:du.csv", "--f", "csv:f.csv",
+                         "--format", "json"],
+    "recover csv csv": ["recover", "--du", "csv:du.csv", "--f", "csv:f.csv",
+                        "--format", "csv"],
+    "recover json": ["recover", "--du", "json:du.json", "--f", "json:f.json"],
+    "recover u": ["recover", "--u", "csv:u.csv", "--f", "const:2"],
+    "exponents": ["exponents", "--f", "linear:1,-2", "--n", "512"],
+    "holder": ["holder", "--a", "const:1", "--b", "const:1.5", "--f", "const:1", "--p", "2",
+               "--alpha", "1", "--beta", "1", "--n", "256"],
+    "holder fitted": ["holder", "--a", "const:1", "--b", "linear:1,0.5", "--f", "linear:1,-2",
+                      "--p", "2", "--n", "512"],
+    "holder flat": ["holder", "--a", "const:1", "--b", "const:1.5", "--f", "csv:flat.csv",
+                    "--p", "2"],
+    "dyadic": ["dyadic", "--alpha", "2", "--beta", "0", "--p", "1", "--jmax", "6",
+               "--n", "4096"],
+    "volterra": ["counterexample", "volterra", "--level", "2", "--n", "512"],
+    "inhomogeneous": ["counterexample", "inhomogeneous", "--n", "64"],
+    "coarea": ["coarea", "--h", "csv:du.csv", "--nlevels", "16", "--t-start", "0.5"],
+    "pw2d verify": ["pw2d", "verify", "--m", "8", "--trials", "2", "--seed", "1"],
+    "pw2d recover": ["pw2d", "recover", "--truth", "t.json", "--m", "8"],
+}
+_PINNED_INPUTS = {
+    "du.csv": "c8854cb58e36d1fe",
+    "du.json": "6f69d5157a8eba71",
+    "f.csv": "cd4d59aaf52154c1",
+    "f.json": "20a3b7ce6cb87318",
+    "flat.csv": "48456fc8df40fecb",
+    "t.json": "211fdd1ec7129b4c",
+    "u.csv": "b4ee0a03a364b857",
+}
+_PINNED_DIGESTS = {
+    "forward": (0, {
+        "forward.csv": "8e432dde31c96a2c",
+        "forward.json": "2a30db0701cf7185",
+        "manifest.json": "17d033641ecde12a",
+        "solution.json": "89176099b3aae548",
+    }),
+    "forward json": (0, {
+        "forward.json": "2a30db0701cf7185",
+        "manifest.json": "ce4b49ae23e68225",
+        "solution.json": "89176099b3aae548",
+    }),
+    "forward csv": (0, {
+        "forward.csv": "8e432dde31c96a2c",
+        "manifest.json": "4873d41b385d08f6",
+        "solution.json": "89176099b3aae548",
+    }),
+    "recover csv": (0, {
+        "coefficient.json": "6e031514440614aa",
+        "manifest.json": "7936eebe920cd30c",
+        "recover.csv": "7fb22a5c500d0d12",
+        "recover.json": "d0c25697e72a438c",
+    }),
+    "recover csv json": (0, {
+        "coefficient.json": "6e031514440614aa",
+        "manifest.json": "bebfa98ded3c1207",
+        "recover.json": "d0c25697e72a438c",
+    }),
+    "recover csv csv": (0, {
+        "coefficient.json": "6e031514440614aa",
+        "manifest.json": "458f87f08914995a",
+        "recover.csv": "7fb22a5c500d0d12",
+    }),
+    "recover json": (0, {
+        "coefficient.json": "6e031514440614aa",
+        "manifest.json": "a65afe3236d02841",
+        "recover.csv": "7fb22a5c500d0d12",
+        "recover.json": "d266376889c28714",
+    }),
+    "recover u": (0, {
+        "coefficient.json": "93df0a7f3bbc3a44",
+        "manifest.json": "777c370dcd698d35",
+        "recover.csv": "0025c20bab118a79",
+        "recover.json": "b05f467784755d83",
+    }),
+    "exponents": (0, {
+        "exponents.csv": "2e26474195324e89",
+        "exponents.json": "78daf4f17d593b68",
+        "manifest.json": "779f20bd8489a258",
+    }),
+    "holder": (0, {
+        "holder.json": "2ba4e5519d91f07f",
+        "manifest.json": "9e2f310583b4fe15",
+    }),
+    "holder fitted": (0, {
+        "holder.json": "9ef2022a9ddd8824",
+        "manifest.json": "cc42054bb85e1478",
+    }),
+    "holder flat": (1, {
+        "holder.json": "3d12d4d176920530",
+        "manifest.json": "8e3fb474d41fe287",
+    }),
+    "dyadic": (0, {
+        "dyadic.csv": "31fd6b38536cdb51",
+        "dyadic.json": "6134a0027fc66ed2",
+        "manifest.json": "976395f13d38ba6f",
+    }),
+    "volterra": (0, {
+        "counterexample_volterra.csv": "1be087de11dbe599",
+        "counterexample_volterra.json": "9f3ea075f9d41a50",
+        "manifest.json": "851e31e19587b488",
+    }),
+    "inhomogeneous": (0, {
+        "counterexample_inhomogeneous.csv": "4a231b024fd26ca4",
+        "counterexample_inhomogeneous.json": "d1adc2abcb2f9612",
+        "manifest.json": "1d54aa146800be64",
+    }),
+    "coarea": (0, {
+        "coarea.csv": "41140064983ccdc5",
+        "coarea.json": "5c472772befcfc76",
+        "manifest.json": "77b2726271f45950",
+    }),
+    "pw2d verify": (0, {
+        "manifest.json": "95d49fe7b2ea6689",
+        "pw2d_verify.csv": "2b1ebd0c62e03fde",
+        "pw2d_verify.json": "604df1535db8af9d",
+    }),
+    "pw2d recover": (0, {
+        "manifest.json": "8956776e03de84b5",
+        "pw2d_recover.csv": "6a7cdb54d9b473cc",
+        "pw2d_recover.json": "b6acc18162bfc006",
+        "u_meas.json": "c6908ab395addd08",
+    }),
+}
+
+
+def test_output_bytes_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_pinned_inputs(tmp_path)
+    assert {p.name: _sha16(p) for p in tmp_path.iterdir()} == _PINNED_INPUTS
+    got = {}
+    for case, argv in _PINNED_RUNS.items():
+        out = tmp_path / "out" / case.replace(" ", "_")
+        code = run(argv + ["--out", str(out)])
+        got[case] = (code, {p.name: _sha16(p) for p in out.iterdir()})
+    assert got == _PINNED_DIGESTS

@@ -26,7 +26,6 @@ from .grids import (
     Interval,
     derivative,
     fmt_float,
-    load_grid_function,
     read_json,
 )
 from .inverse import recover
@@ -62,8 +61,11 @@ def _parse_grid_function(literal: str, interval: Interval, n: int) -> GridFuncti
     if kind == "linear":
         c0, c1 = (float(t) for t in rest.split(","))
         return GridFunction1D.from_callable(lambda x: c0 + c1 * x, interval, n)
-    if kind in ("csv", "json"):
-        return load_grid_function(rest)
+    # the kind picks the parser, whatever the file's suffix
+    if kind == "csv":
+        return GridFunction1D.from_csv(rest)
+    if kind == "json":
+        return read_json(rest, GridFunction1D.from_json_dict)
     raise ValueError(f"unknown function literal kind {kind!r} (use const/linear/csv/json)")
 
 

@@ -322,11 +322,3 @@ def indicator_values(x: np.ndarray, lo: float, hi: float, domain: Interval | Non
         else:
             v[np.abs(x - edge) <= tol] = 0.5
     return v
-
-
-def load_grid_function(path) -> GridFunction1D:
-    """Load a grid function from .csv or .json by extension."""
-    p = Path(path)
-    if p.suffix == ".json":
-        return read_json(p, GridFunction1D.from_json_dict)
-    return GridFunction1D.from_csv(p)

@@ -83,16 +83,17 @@ def recover_constant(du: GridFunction1D, F: GridFunction1D, threshold: float | N
     homogeneous boundary values.
     """
     require_same_grid(du, F)
-    if du.n < 2:
-        raise ValueError("grid too coarse")
     if threshold is None:
         threshold = default_threshold(du)
+    return _constant_at_zero(du, F, threshold, _crossings(du))
 
-    v = du.values
-    interior = np.abs(v[1:-1])
+
+def _constant_at_zero(du: GridFunction1D, F: GridFunction1D, threshold: float, crossings) -> float:
+    """recover_constant given the sign changes of u' from _crossings."""
+    if du.n < 2:
+        raise ValueError("grid too coarse")
+    interior = np.abs(du.values[1:-1])
     i_min = 1 + int(np.argmin(interior))
-    crossings = _crossings(du)
-
     if not crossings and interior.min() > threshold:
         raise ValueError(
             "no zero of u': data inconsistent with homogeneous boundary values"
@@ -103,14 +104,6 @@ def recover_constant(du: GridFunction1D, F: GridFunction1D, threshold: float | N
         if i == i_min - 1 or i == i_min:
             return float(Fv[i] + t * (Fv[i + 1] - Fv[i]))
     return float(Fv[i_min])
-
-
-def zero_candidates(du: GridFunction1D, threshold: float) -> tuple:
-    """All plausible zeros of u': refined sign changes plus below-threshold nodes."""
-    xs = [x0 for _, x0, _ in _crossings(du)]
-    x = du.x
-    xs.extend(float(xi) for xi in x[np.abs(du.values) <= threshold])
-    return tuple(sorted(set(xs)))
 
 
 def recover_from_primitive(
@@ -126,7 +119,9 @@ def recover_from_primitive(
     if threshold <= 0.0:
         raise ValueError("threshold must be positive")
 
-    C = recover_constant(du, F, threshold)
+    # one scan for sign changes serves both the constant and the candidates
+    crossings = _crossings(du)
+    C = _constant_at_zero(du, F, threshold, crossings)
     v = du.values
     mask = np.abs(v) < threshold
     if mask.all():
@@ -149,13 +144,17 @@ def recover_from_primitive(
         src = np.where(take_left, left, right)
         clipped[bad_idx] = clipped[src]
 
+    # every plausible zero of u': refined sign changes plus below-threshold nodes
+    candidates = [x0 for _, x0, _ in crossings]
+    candidates.extend(float(xi) for xi in du.x[np.abs(v) <= threshold])
+
     return RecoveryResult(
         a=du.with_values(clipped),
         C=C,
         degenerate_mask=mask,
         fraction_degenerate=float(np.count_nonzero(mask)) / (du.n + 1),
         threshold=float(threshold),
-        candidates=zero_candidates(du, threshold),
+        candidates=tuple(sorted(set(candidates))),
         n_clamped=n_clamped,
     )
 

@@ -3,7 +3,8 @@
 Three groups of tools live here:
 
 * level-band measures |K_rho(M)| = |{x : |F(x) - M| <= rho}| computed exactly
-  on the piecewise-linear interpolant of F, and log-log fitting of the
+  on the piecewise-linear interpolant of F, batched (all bands of a fit in one
+  sorted counting pass over the cells), and log-log fitting of the
   two-sided scaling C1 rho^alpha <= inf_M |K_rho(M)| <= sup_M |K_rho(M)|
   <= C2 rho^beta over M strictly between min F and max F;
 
@@ -54,6 +55,9 @@ __all__ = [
 
 BETA_DEGENERATE_CUTOFF = 0.05
 ZERO_TOL = 1e-12
+# (cell, band end) pairs k_rho_measure expands at once: memory stays
+# O(n + bands) even when every cell crosses every band end
+_PAIR_SLICE = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -83,24 +87,80 @@ class ExponentFit:
     sup_curve: tuple
 
 
-def k_rho_measure(F: GridFunction1D, M: float, rho: float) -> float:
+def k_rho_measure(F: GridFunction1D, M, rho):
     """Lebesgue measure of {x : |F(x) - M| <= rho} for the piecewise-linear
-    interpolant of F, exact per cell."""
-    if rho <= 0.0:
+    interpolant of F, exact per cell.
+
+    M and rho may be arrays of one shape: every band is then measured in one
+    sorted counting pass, and an array of that shape is returned (a float for
+    scalar M and rho). Flat cells in the closed band and sloped cells wholly
+    inside it are counted by searchsorted; only the cells that a band end cuts
+    add a fraction. The cost is O(n log n) plus the number of (cell, band end)
+    crossings, expanded at most _PAIR_SLICE at a time.
+    """
+    M, rho = np.broadcast_arrays(np.asarray(M, dtype=float), np.asarray(rho, dtype=float))
+    if not np.all(rho > 0.0):
         raise ValueError("rho must be positive")
+    if np.isnan(M).any():
+        raise ValueError("M must be a number")
+    band_lo = (M - rho).ravel()
+    band_hi = (M + rho).ravel()
+    nb = band_lo.size
     v = F.values
     lo = np.minimum(v[:-1], v[1:])
     hi = np.maximum(v[:-1], v[1:])
-    band_lo, band_hi = M - rho, M + rho
-    overlap = np.minimum(hi, band_hi) - np.maximum(lo, band_lo)
-    width = hi - lo
-    sloped = width > 0.0
-    frac = np.where(
-        sloped,
-        np.clip(overlap, 0.0, None) / np.where(sloped, width, 1.0),
-        ((lo >= band_lo) & (lo <= band_hi)).astype(float),
-    )
-    return float(F.h * frac.sum())
+    flat = lo == hi
+    flat_lo = np.sort(lo[flat])
+    lo, hi = lo[~flat], hi[~flat]
+
+    # flat cells with band_lo <= lo <= band_hi, and sloped cells with
+    # band_lo < hi <= band_hi; those among the latter that straddle band_lo
+    # are taken back out below
+    whole = np.searchsorted(flat_lo, band_hi, "right") - np.searchsorted(flat_lo, band_lo, "left")
+    hi_sorted = np.sort(hi)
+    whole += np.searchsorted(hi_sorted, band_hi, "right") - np.searchsorted(hi_sorted, band_lo, "right")
+
+    # the band ends strictly inside (lo, hi) of each sloped cell are a
+    # contiguous run of the sorted ends
+    ends = np.concatenate((band_lo, band_hi))
+    order = np.argsort(ends, kind="stable")
+    ends = ends[order]
+    first = np.searchsorted(ends, lo, "right")
+    crossed = np.searchsorted(ends, hi, "left") - first
+    cells = np.nonzero(crossed)[0]
+    pairs = np.cumsum(crossed[cells])
+    part = np.zeros(nb)
+    start = 0
+    while start < cells.size:
+        done = pairs[start - 1] if start else 0
+        stop = max(int(np.searchsorted(pairs, done + _PAIR_SLICE, "right")), start + 1)
+        c = cells[start:stop]
+        k = crossed[c]
+        cell = np.repeat(c, k)
+        # each cell's run first[c], first[c] + 1, ... of sorted ends, mapped
+        # back to the end's index in (band_lo, band_hi)
+        end = order[np.arange(cell.size) + np.repeat(first[c] - np.cumsum(k) + k, k)]
+        low_end = end < nb
+        band = np.where(low_end, end, end - nb)
+        l, h = lo[cell], hi[cell]
+        bl, bh = band_lo[band], band_hi[band]
+        whole -= np.bincount(band[low_end & (h <= bh)], minlength=nb)
+        # a cell that straddles both ends of its band is counted at the low end
+        keep = low_end | (l >= bl)
+        l, h, bl, bh = l[keep], h[keep], bl[keep], bh[keep]
+        frac = (np.minimum(h, bh) - np.maximum(l, bl)) / (h - l)
+        # grouped by band and summed pairwise: a running sum over thousands
+        # of straddlers of one band would drift by far more than an ulp
+        by_band = np.argsort(band[keep], kind="stable")
+        band, frac = band[keep][by_band], frac[by_band]
+        heads = np.flatnonzero(np.diff(band, prepend=-1))
+        part[band[heads]] += np.add.reduceat(frac, heads)
+        start = stop
+
+    measure = F.h * (whole + part)
+    if M.ndim == 0:
+        return float(measure[0])
+    return measure.reshape(M.shape)
 
 
 def fit_exponents(F: GridFunction1D, rho_grid, M_grid_size: int = 32) -> ExponentFit:
@@ -126,13 +186,10 @@ def fit_exponents(F: GridFunction1D, rho_grid, M_grid_size: int = 32) -> Exponen
     if rho[0] >= span / 2 or rho[-1] <= 0:
         raise ValueError(f"rho values must lie in (0, {span / 2})")
 
-    inf_c = np.empty(rho.size)
-    sup_c = np.empty(rho.size)
-    for i, r in enumerate(rho):
-        Ms = np.linspace(fmin + r, fmax - r, M_grid_size)
-        meas = np.array([k_rho_measure(F, float(M), float(r)) for M in Ms])
-        inf_c[i] = meas.min()
-        sup_c[i] = meas.max()
+    Ms = np.array([np.linspace(fmin + r, fmax - r, M_grid_size) for r in rho])
+    meas = k_rho_measure(F, Ms, rho[:, None])
+    inf_c = meas.min(axis=1)
+    sup_c = meas.max(axis=1)
 
     log_rho = np.log(rho)
     alpha, a_icept = np.polyfit(log_rho, np.log(inf_c), 1)

@@ -5,6 +5,8 @@ banded finite-difference discretization solved directly, the 2D oracle is the
 classical double-sine series for the unit-square Poisson problem, and the
 block H^-1 norm is a dense solve of the 5-point stencil. The serialization
 oracles render one element at a time, with no column formatting or memo.
+The band measure is the per-cell overlap sum, one band per call, with none of
+the sorting and counting of coeffid.stability.k_rho_measure.
 """
 
 import csv
@@ -72,6 +74,27 @@ def quadratic_band_measure(M: float, rho: float) -> float:
         return x4 - x1
     x2, x3 = lo_band
     return (x2 - x1) + (x4 - x3)
+
+
+def band_measure_per_cell(F: GridFunction1D, M: float, rho: float) -> float:
+    """|{x : |F(x) - M| <= rho}| for the piecewise-linear interpolant of F as
+    a sum of per-cell fractions: the overlap of the cell's range with the band
+    over its width, or 1 for a flat cell whose level lies in the closed band."""
+    if rho <= 0.0:
+        raise ValueError("rho must be positive")
+    v = F.values
+    lo = np.minimum(v[:-1], v[1:])
+    hi = np.maximum(v[:-1], v[1:])
+    band_lo, band_hi = M - rho, M + rho
+    overlap = np.minimum(hi, band_hi) - np.maximum(lo, band_lo)
+    width = hi - lo
+    sloped = width > 0.0
+    frac = np.where(
+        sloped,
+        np.clip(overlap, 0.0, None) / np.where(sloped, width, 1.0),
+        ((lo >= band_lo) & (lo <= band_hi)).astype(float),
+    )
+    return float(F.h * frac.sum())
 
 
 def block_hminus1_dense(f, nx: int, ny: int, block: int, m: int) -> float:

@@ -360,6 +360,8 @@ _MALFORMED_FILES = [
     ("list.json", "[1, 1, 1]", _DU_ARGV + ["json:list.json"]),
     ("object_values.json", '{"interval": [0, 1], "n": 2, "values": {"a": 1}}',
      _DU_ARGV + ["json:object_values.json"]),
+    # the literal's kind picks the parser, not the file's suffix
+    ("g.csv", "x,value\n0,0.5\n0.5,0\n1,-0.5\n", _DU_ARGV + ["json:g.csv"]),
     ("no_ny.json", '{"nx": 2, "coeffs": [1.0, 1.2]}', _TRUTH_ARGV + ["no_ny.json"]),
     ("fractional_nx.json", '{"nx": 2.7, "ny": 2, "coeffs": [1.0, 1.4, 0.9, 1.1]}',
      _TRUTH_ARGV + ["fractional_nx.json"]),
@@ -374,6 +376,17 @@ def test_malformed_input_file_exit_2(name, text, argv, tmp_path, monkeypatch, ca
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and name in err
+
+
+def test_csv_kind_parses_any_suffix(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    du = GridFunction1D.from_callable(lambda x: 0.5 - x, Interval(0.0, 1.0), 64)
+    du.to_csv(tmp_path / "g.csv")
+    du.to_csv(tmp_path / "g.json")
+    for name in ("g.csv", "g.json"):
+        assert run(_DU_ARGV + [f"csv:{name}", "--out", name.replace(".", "_")]) == 0
+    assert (tmp_path / "g_json" / "recover.json").read_bytes() == \
+        (tmp_path / "g_csv" / "recover.json").read_bytes()
 
 
 def _write_pinned_inputs(root):
@@ -488,9 +501,9 @@ _PINNED_DIGESTS = {
         "recover.json": "b05f467784755d83",
     }),
     "exponents": (0, {
-        "exponents.csv": "2e26474195324e89",
-        "exponents.json": "78daf4f17d593b68",
-        "manifest.json": "779f20bd8489a258",
+        "exponents.csv": "9323bfd349572d26",
+        "exponents.json": "3e9025b5c93cf6c3",
+        "manifest.json": "6704b9dfac5a0965",
     }),
     "holder": (0, {
         "holder.json": "2ba4e5519d91f07f",
@@ -536,6 +549,26 @@ _PINNED_DIGESTS = {
         "u_meas.json": "c6908ab395addd08",
     }),
 }
+
+
+def test_exponents_curves_match_per_cell_oracle(tmp_path, monkeypatch):
+    # checks the pinned exponents digests apart from the code that made them:
+    # each curve point is the min or max over the M grid of per-cell sums
+    from coeffid.forward import primitive
+
+    from oracles import band_measure_per_cell
+
+    monkeypatch.chdir(tmp_path)
+    assert run(_PINNED_RUNS["exponents"] + ["--out", "ex"]) == 0
+    rep = json.loads((tmp_path / "ex" / "exponents.json").read_text())
+    F = primitive(GridFunction1D.from_callable(lambda x: 1.0 - 2.0 * x, Interval(0.0, 1.0), 512))
+    fmin, fmax = float(F.values.min()), float(F.values.max())
+    meas = np.array([[band_measure_per_cell(F, float(M), r)
+                      for M in np.linspace(fmin + r, fmax - r, rep["inputs"]["M_points"])]
+                     for r in rep["curves"]["rho"]])
+    for key, want in (("inf_measure", meas.min(axis=1)), ("sup_measure", meas.max(axis=1))):
+        got = np.array(rep["curves"][key])
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want)), key
 
 
 def test_output_bytes_pinned(tmp_path, monkeypatch):

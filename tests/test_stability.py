@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coeffid import stability
 from coeffid.forward import primitive
 from coeffid.grids import CoefficientBounds, GridFunction1D, Interval, lp_norm
 from coeffid.stability import (
@@ -22,7 +23,7 @@ from coeffid.stability import (
     verify_holder,
 )
 
-from oracles import quadratic_band_measure
+from oracles import band_measure_per_cell, quadratic_band_measure
 
 UNIT = Interval(0.0, 1.0)
 
@@ -81,6 +82,75 @@ def test_band_measure_limit_is_flat_set_size():
         assert k_rho_measure(F, 1.0, rho) == pytest.approx(1.0 / 3.0, abs=3 * rho)
 
 
+def _assert_matches_per_cell_oracle(F, M, rho):
+    got = k_rho_measure(F, M, rho)
+    assert got.shape == np.shape(M)
+    M, rho = np.ravel(M), np.ravel(rho)
+    # a scalar band comes back as a float
+    scalar = k_rho_measure(F, float(M[0]), float(rho[0]))
+    assert type(scalar) is float
+    for m, r, g in zip(np.r_[M[0], M], np.r_[rho[0], rho], [scalar, *got.ravel()]):
+        want = band_measure_per_cell(F, float(m), float(r))
+        if want == 0.0:
+            assert g == 0.0
+        else:
+            assert abs(g - want) <= 1e-14 * want
+
+
+# node values on a 1/8 lattice, so plateaus and repeated values are common and
+# M +- rho lands exactly on node values when rho is drawn from the lattice too
+_LATTICE = [k / 8.0 for k in range(-8, 9)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(st.one_of(st.sampled_from(_LATTICE), st.floats(-1.0, 1.0)),
+                    min_size=2, max_size=300),
+    bands=st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from(_LATTICE), st.floats(-3.0, 3.0)),
+            st.one_of(st.sampled_from(_LATTICE[9:]), st.floats(1e-9, 2.0)),
+        ),
+        min_size=1, max_size=40,
+    ),
+)
+# plateaus at 1/4 and 1/2 with band ends exactly on them, from below and above
+@example(values=[0.0, 0.25, 0.25, 0.5, 0.5, 0.5, 1.0],
+         bands=[(0.5, 0.25), (0.0, 0.25), (0.75, 0.25), (0.375, 0.125)])
+# bands wholly below and above the range of F
+@example(values=[0.0, 0.5, -0.5, 1.0], bands=[(-5.0, 0.25), (5.0, 0.25), (-1.5, 0.25)])
+def test_band_measures_batched_match_per_cell_oracle(values, bands):
+    F = GridFunction1D(UNIT, np.array(values))
+    M, rho = (np.array(column) for column in zip(*bands))
+    _assert_matches_per_cell_oracle(F, M, rho)
+    _assert_matches_per_cell_oracle(F, M.reshape(-1, 1), rho.reshape(-1, 1))
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    nbands=st.integers(32, 64),
+    extra=st.integers(1, 2000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_band_measures_zigzag_across_pair_slices(nbands, extra, seed):
+    # every cell of a 0-1 zigzag crosses every band end inside (0, 1), so the
+    # (cell, band end) pairs overflow one slice
+    n = stability._PAIR_SLICE // (2 * nbands) + extra
+    assert 2 * nbands * n > stability._PAIR_SLICE
+    F = GridFunction1D(UNIT, np.arange(n + 1) % 2.0)
+    rng = np.random.default_rng(seed)
+    M = rng.uniform(0.3, 0.7, nbands)
+    rho = rng.uniform(1e-6, 0.29, nbands)
+    _assert_matches_per_cell_oracle(F, M, rho)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, np.nan])
+def test_band_measures_array_with_nonpositive_rho_raises(bad):
+    F = from_fn(lambda x: x, 64)
+    with pytest.raises(ValueError, match="rho must be positive"):
+        k_rho_measure(F, np.array([0.5, 0.5, 0.5]), np.array([0.1, bad, 0.2]))
+
+
 # -- fit_exponents ------------------------------------------------------------
 
 
@@ -115,6 +185,21 @@ def test_fit_exponents_descriptive_invariant_holds_on_grid():
     assert np.all(inf_c <= sup_c)
     assert np.all(sup_c <= fit.C2 * r**fit.beta * (1 + 1e-12))
     assert fit.alpha >= fit.beta - 1e-9
+
+
+def test_fit_exponents_curves_match_per_cell_oracle():
+    # the power-cusp primitives of the 1D benchmark study: the inf and sup
+    # curves are those of the per-cell sums to within 4 ulp
+    x = np.linspace(0.0, 1.0, 2**12 + 1)
+    for q, x0 in ((0.25, 0.3), (0.6, 0.55), (1.0, 0.7)):
+        F = GridFunction1D(UNIT, (np.abs(x - x0) ** (q + 1.0) - x0 ** (q + 1.0)) / (q + 1.0))
+        fmin, fmax = float(F.values.min()), float(F.values.max())
+        rho = np.geomspace((fmax - fmin) / 4.0, (fmax - fmin) / 2048.0, 10)
+        fit = fit_exponents(F, rho, 32)
+        meas = np.array([[band_measure_per_cell(F, float(M), float(r))
+                          for M in np.linspace(fmin + r, fmax - r, 32)] for r in rho])
+        for got, want in ((fit.inf_curve, meas.min(axis=1)), (fit.sup_curve, meas.max(axis=1))):
+            assert np.all(np.abs(np.array(got) - want) <= 4 * np.spacing(want))
 
 
 def test_fit_exponents_constant_F_rejected():

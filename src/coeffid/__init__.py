@@ -14,8 +14,8 @@ from .grids import (
     quadrature,
 )
 from .forward import ForwardSolution, flux_constant, primitive, solve, solve_from_primitive
-from .inverse import RecoveryResult, convergence_study, recover, recover_constant, recover_from_primitive
-from .gmt import LevelSetProfile, coarea_check, good_levels, level_perimeter, total_variation
+from .inverse import RecoveryResult, convergence_study, recover, recover_from_primitive
+from .gmt import coarea_check, good_levels, level_perimeter, total_variation
 from .stability import (
     DyadicFamily,
     ExponentFit,
@@ -55,10 +55,8 @@ __all__ = [
     "solve_from_primitive",
     "RecoveryResult",
     "recover",
-    "recover_constant",
     "recover_from_primitive",
     "convergence_study",
-    "LevelSetProfile",
     "total_variation",
     "level_perimeter",
     "coarea_check",

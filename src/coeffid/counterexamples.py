@@ -69,10 +69,11 @@ class IntervalSet:
             out.append((cursor, Fraction(1)))
         return out
 
-    def indicator(self, x: np.ndarray, domain: Interval) -> np.ndarray:
+    def indicator(self, x: np.ndarray) -> np.ndarray:
+        """Nodal indicator of the union on the grid x, by indicator_values."""
         v = np.zeros_like(x)
         for a, b in self.intervals:
-            v += indicator_values(x, float(a), float(b), domain=domain)
+            v += indicator_values(x, float(a), float(b))
         return np.clip(v, 0.0, 1.0)
 
 
@@ -169,7 +170,7 @@ def volterra_pair(level: int, n: int, bump_amp: float) -> CounterexamplePair:
     u = GridFunction1D(iv, _cumtrapz(w, du.h))
     f = GridFunction1D(iv, f_vals)
     a = GridFunction1D(iv, np.ones_like(x))
-    b = GridFunction1D(iv, 1.0 + bump_amp * S.indicator(x, iv))
+    b = GridFunction1D(iv, 1.0 + bump_amp * S.indicator(x))
 
     F = du.with_values(-w + w[0])
     w_sup = float(np.abs(w).max())

@@ -12,7 +12,6 @@ perimeters are counted over sorted cell endpoints, in O(n log n) overall.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .grids import GridFunction1D
 from .report import ExperimentReport
 
 __all__ = [
-    "LevelSetProfile",
     "total_variation",
     "level_perimeter",
     "coarea_integral",
@@ -29,26 +27,6 @@ __all__ = [
 ]
 
 LEVEL_FLOOR = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class LevelSetProfile:
-    """Sampled map t -> P({h > t}), levels strictly increasing."""
-
-    levels: np.ndarray
-    perimeters: np.ndarray
-
-    def __post_init__(self):
-        lv = np.asarray(self.levels, dtype=float)
-        pm = np.asarray(self.perimeters, dtype=float)
-        if lv.shape != pm.shape:
-            raise ValueError("levels and perimeters must have matching length")
-        if lv.size > 1 and not np.all(np.diff(lv) > 0):
-            raise ValueError("levels must be strictly increasing")
-        if np.any(pm < 0):
-            raise ValueError("perimeters must be nonnegative")
-        object.__setattr__(self, "levels", lv)
-        object.__setattr__(self, "perimeters", pm)
 
 
 def total_variation(h: GridFunction1D) -> float:
@@ -93,7 +71,12 @@ def coarea_integral(h: GridFunction1D) -> float:
 
 
 def coarea_check(h: GridFunction1D, nlevels: int = 64) -> ExperimentReport:
-    """Verify int P(E_t) dt = TV(h) and report a sampled level-set profile."""
+    """Verify int P(E_t) dt = TV(h) and report a sampled level-set profile.
+
+    The profile is two curves: t, the sampled levels, strictly increasing
+    (np.unique sorts and dedups them), and perimeter, the crossing count
+    level_perimeter(h, t) at each, a nonnegative whole number.
+    """
     if nlevels < 16:
         raise ValueError("nlevels must be at least 16")
     tv = total_variation(h)
@@ -108,13 +91,13 @@ def coarea_check(h: GridFunction1D, nlevels: int = 64) -> ExperimentReport:
         levels = np.linspace(vmin - 1.0, vmin + 1.0, nlevels)
     # a range a few ulps wide holds fewer than nlevels distinct floats
     levels = np.unique(levels)
-    profile = LevelSetProfile(levels, np.array([level_perimeter(h, t) for t in levels], dtype=float))
+    perimeters = np.array([level_perimeter(h, t) for t in levels], dtype=float)
 
     return ExperimentReport(
         name="coarea_check",
         inputs={"n": h.n, "nlevels": nlevels},
         metrics={"total_variation": tv, "coarea_integral": integral, "rel_error": rel_err},
-        curves={"t": list(profile.levels), "perimeter": list(profile.perimeters)},
+        curves={"t": list(levels), "perimeter": list(perimeters)},
         passed=bool(rel_err < 1e-12),
     )
 

@@ -207,10 +207,6 @@ class GridFunction1D:
             raise ValueError("values length does not match n + 1")
         return cls(Interval(float(lo), float(hi)), vals)
 
-    @classmethod
-    def from_json(cls, text: str) -> "GridFunction1D":
-        return cls.from_json_dict(json.loads(text))
-
     def to_csv(self, path) -> None:
         """Write an 'x,value' header and one row per node at 17 significant
         digits, in the bytes csv.writer gives (CRLF line ends), a chunk of
@@ -272,7 +268,7 @@ def quadrature(g: GridFunction1D) -> float:
 def lp_norm(g: GridFunction1D, p: float) -> float:
     """Lp norm of g for p in [1, inf]; math.inf gives the max norm."""
     p = float(p)
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError(f"norm exponent must satisfy p >= 1, got {p}")
     if math.isinf(p):
         return float(np.abs(g.values).max())
@@ -302,22 +298,20 @@ def admissible(a: GridFunction1D, bounds: CoefficientBounds) -> bool:
     return bool(np.all((v >= bounds.lam) & (v <= bounds.Lam)))
 
 
-def indicator_values(x: np.ndarray, lo: float, hi: float, domain: Interval | None = None) -> np.ndarray:
-    """Nodal sampling of the indicator of the interval (lo, hi).
+def indicator_values(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Nodal sampling of the indicator of the interval (lo, hi) on the grid x.
 
     Nodes strictly inside get 1, nodes exactly on the boundary get 1/2, so the
     trapezoid rule reproduces the interval's measure exactly whenever lo and hi
-    land on grid nodes. Boundary points that coincide with the domain's own
-    endpoints are treated as interior (the indicator is an almost-everywhere
+    land on grid nodes. An edge on the grid's end nodes x[0] or x[-1] counts
+    as interior, so those nodes get 1 (the indicator is an almost-everywhere
     object; the half-value convention only matters at genuine internal jumps).
     """
     v = np.where((x > lo) & (x < hi), 1.0, 0.0)
     span = x[-1] - x[0]
     tol = span * 1e-13
     for edge in (lo, hi):
-        if domain is not None and (
-            abs(edge - domain.lo) <= tol or abs(edge - domain.hi) <= tol
-        ):
+        if abs(edge - x[0]) <= tol or abs(edge - x[-1]) <= tol:
             v[np.abs(x - edge) <= tol] = 1.0
         else:
             v[np.abs(x - edge) <= tol] = 0.5

@@ -28,7 +28,6 @@ from .report import ExperimentReport
 __all__ = [
     "RecoveryResult",
     "default_threshold",
-    "recover_constant",
     "recover",
     "recover_from_primitive",
     "convergence_study",
@@ -61,75 +60,61 @@ def default_threshold(du: GridFunction1D) -> float:
     return max(t, 1e-300)
 
 
-def _crossings(du: GridFunction1D):
-    """Strict sign-change cells as (cell index, refined x0, interpolation t)."""
-    v = du.values
-    prod = v[:-1] * v[1:]
-    cells = np.nonzero(prod < 0.0)[0]
-    out = []
-    x = du.x
-    for i in cells:
-        t = v[i] / (v[i] - v[i + 1])
-        out.append((int(i), float(x[i] + t * du.h), float(t)))
-    return out
-
-
-def recover_constant(du: GridFunction1D, F: GridFunction1D, threshold: float | None = None) -> float:
-    """Identify C as F evaluated at a zero of u'.
-
-    The zero is taken at the interior node minimizing |u'|, refined by linear
-    interpolation when u' changes sign across an adjacent cell. Raises when u'
-    is strictly one-signed above the threshold, which is inconsistent with
-    homogeneous boundary values.
-    """
-    require_same_grid(du, F)
-    if threshold is None:
-        threshold = default_threshold(du)
-    return _constant_at_zero(du, F, threshold, _crossings(du))
-
-
-def _constant_at_zero(du: GridFunction1D, F: GridFunction1D, threshold: float, crossings) -> float:
-    """recover_constant given the sign changes of u' from _crossings."""
-    if du.n < 2:
-        raise ValueError("grid too coarse")
-    interior = np.abs(du.values[1:-1])
-    i_min = 1 + int(np.argmin(interior))
-    if not crossings and interior.min() > threshold:
-        raise ValueError(
-            "no zero of u': data inconsistent with homogeneous boundary values"
-        )
-
-    Fv = F.values
-    for i, x0, t in crossings:
-        if i == i_min - 1 or i == i_min:
-            return float(Fv[i] + t * (Fv[i + 1] - Fv[i]))
-    return float(Fv[i_min])
-
-
 def recover_from_primitive(
     du: GridFunction1D,
     F: GridFunction1D,
     bounds: CoefficientBounds,
     threshold: float | None = None,
 ) -> RecoveryResult:
-    """Recover a = (C - F)/u' with the source supplied via its primitive F."""
+    """Recover a = (C - F)/u' with the source supplied via its primitive F.
+
+    C is F at a zero of u': the zero is taken at the interior node minimizing
+    |u'|, refined by linear interpolation when u' changes sign across an
+    adjacent cell. Raises when u' is strictly one-signed above the threshold,
+    which is inconsistent with homogeneous boundary values, and when u'
+    vanishes at every node.
+    """
     require_same_grid(du, F)
     if threshold is None:
         threshold = default_threshold(du)
-    if threshold <= 0.0:
-        raise ValueError("threshold must be positive")
+    if not threshold > 0.0:
+        raise ValueError(f"threshold must be positive, got {threshold}")
+    if du.n < 2:
+        raise ValueError("grid too coarse")
 
-    # one scan for sign changes serves both the constant and the candidates
-    crossings = _crossings(du)
-    C = _constant_at_zero(du, F, threshold, crossings)
     v = du.values
-    mask = np.abs(v) < threshold
+    x = du.x
+    abs_v = np.abs(v)
+    # one scan for strict sign changes of u' serves both C and the candidates:
+    # cell c holds the zero x[c] + t h
+    cells = np.nonzero(v[:-1] * v[1:] < 0.0)[0]
+    t = v[cells] / (v[cells] - v[cells + 1])
+    zeros = x[cells] + t * du.h
+    i_min = 1 + int(np.argmin(abs_v[1:-1]))
+    if not cells.size and abs_v[i_min] > threshold:
+        raise ValueError(
+            "no zero of u': data inconsistent with homogeneous boundary values"
+        )
+
+    Fv = F.values
+    k = int(np.searchsorted(cells, i_min - 1))
+    if k < cells.size and cells[k] <= i_min:
+        c = cells[k]
+        C = float(Fv[c] + t[k] * (Fv[c + 1] - Fv[c]))
+    else:
+        C = float(Fv[i_min])
+
+    mask = abs_v < threshold
+    # every plausible zero of u': refined sign changes plus below-threshold nodes
+    candidates = set(zeros.tolist()).union(x[abs_v <= threshold].tolist())
+    # x and |u'| take 8 bytes a node: free them before the arrays below
+    del x, abs_v
     if mask.all():
         raise ValueError("gradient vanishes everywhere")
 
     raw = np.zeros_like(v)
     good = ~mask
-    raw[good] = (C - F.values[good]) / v[good]
+    raw[good] = (C - Fv[good]) / v[good]
     clipped = np.clip(raw, bounds.lam, bounds.Lam)
     n_clamped = int(np.count_nonzero(clipped[good] != raw[good]))
 
@@ -144,17 +129,13 @@ def recover_from_primitive(
         src = np.where(take_left, left, right)
         clipped[bad_idx] = clipped[src]
 
-    # every plausible zero of u': refined sign changes plus below-threshold nodes
-    candidates = [x0 for _, x0, _ in crossings]
-    candidates.extend(float(xi) for xi in du.x[np.abs(v) <= threshold])
-
     return RecoveryResult(
         a=du.with_values(clipped),
         C=C,
         degenerate_mask=mask,
         fraction_degenerate=float(np.count_nonzero(mask)) / (du.n + 1),
         threshold=float(threshold),
-        candidates=tuple(sorted(set(candidates))),
+        candidates=tuple(sorted(candidates)),
         n_clamped=n_clamped,
     )
 

@@ -37,7 +37,6 @@ from .report import ExperimentReport
 __all__ = [
     "Partition2D",
     "PwConstCoefficient",
-    "FemSystem",
     "PwRecovery",
     "fem_solve",
     "build_system",
@@ -73,10 +72,6 @@ class Partition2D:
     @property
     def n_blocks(self) -> int:
         return self.nx * self.ny
-
-    def block_rect(self, block: int) -> tuple:
-        by, bx = divmod(block, self.nx)
-        return (bx / self.nx, (bx + 1) / self.nx, by / self.ny, (by + 1) / self.ny)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,20 +194,6 @@ def _workspace(nx: int, ny: int, m: int) -> _Workspace:
     return _Workspace(nx, ny, m)
 
 
-@dataclass(eq=False)
-class FemSystem:
-    """Assembled interior system K u = b for one coefficient field.
-
-    K is symmetric positive definite on the (m-1)^2 interior nodes; boundary
-    nodes carry the homogeneous Dirichlet constraint.
-    """
-
-    m: int
-    stiffness: sp.csr_matrix
-    load: np.ndarray
-    interior: np.ndarray
-
-
 def as_nodal_field(f, m: int) -> np.ndarray:
     """Normalize a source input (constant, callable of (x, y), or nodal array)
     to a finite (m+1, m+1) array indexed [iy, ix]. A callable's result is
@@ -233,20 +214,24 @@ def as_nodal_field(f, m: int) -> np.ndarray:
     return arr
 
 
-def build_system(a: PwConstCoefficient, f, m: int) -> FemSystem:
+def build_system(a: PwConstCoefficient, f, m: int) -> tuple:
+    """Assembled interior system K u = load for one coefficient field, as
+    (K, load). K is symmetric positive definite on the (m-1)^2 interior nodes,
+    ordered as the nodal array's [1:-1, 1:-1] block row-major in y; boundary
+    nodes carry the homogeneous Dirichlet constraint."""
     ws = _workspace(a.partition.nx, a.partition.ny, m)
     K = ws.stiffness(a.coeffs)
     b_full = ws.mass @ as_nodal_field(f, m).ravel()
-    return FemSystem(m=m, stiffness=K, load=b_full[ws.interior], interior=ws.interior)
+    return K, b_full[ws.interior]
 
 
 def fem_solve(a: PwConstCoefficient, f, m: int) -> np.ndarray:
     """P1 Galerkin solution with homogeneous Dirichlet data, returned as an
     (m+1, m+1) nodal array (zeros on the boundary)."""
     ws = _workspace(a.partition.nx, a.partition.ny, m)
-    system = build_system(a, f, m)
+    K, load = build_system(a, f, m)
     u = np.zeros(ws.n_nodes)
-    u[system.interior] = _factor(system.stiffness).solve(system.load)
+    u[ws.interior] = _factor(K).solve(load)
     return u.reshape(m + 1, m + 1)
 
 

@@ -227,13 +227,14 @@ def holder_exponent(p, alpha, beta):
 
     For 1 <= p <= 2 it is max(2 beta / ((2+alpha)(2+beta)),
     p beta / ((p+alpha)(p+beta))); for p > 2 it is
-    4 beta / ((2+alpha)(2+beta) p). Plain arithmetic throughout, so exact
+    4 beta / ((2+alpha)(2+beta) p). Raises unless 1 <= p < inf, alpha >= 0
+    and beta > 0, NaN included. Plain arithmetic throughout, so exact
     rational inputs give exact rational output.
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must lie in [1, inf), got {p}")
+    if not alpha >= 0:
+        raise ValueError(f"alpha must be nonnegative, got {alpha}")
     if not beta > 0:
         raise ValueError("beta must be positive")
     if p <= 2:
@@ -326,6 +327,8 @@ class DyadicFamily:
 
     alpha_d > 1/2 is the amplitude decay of the scales, beta_d <= 0 keeps the
     perturbed coefficients inside [1, 2] and jmax caps the perturbation index.
+    Construction rejects any other value, NaN included, so every builder and
+    rate below may rely on alpha_d > 1/2 + beta_d.
     K_trunc, the number of scales kept, is derived as _tail_terms(alpha_d,
     jmax): the dropped tail is below 1e-8 in the energy norm.
     """
@@ -340,6 +343,8 @@ class DyadicFamily:
             raise ValueError("alpha_d must exceed 1/2")
         if self.jmax < 1:
             raise ValueError("jmax must be positive")
+        if not self.beta_d <= 0:
+            raise ValueError("beta_d must be <= 0")
         object.__setattr__(self, "K_trunc", _tail_terms(self.alpha_d, self.jmax))
 
 
@@ -403,7 +408,7 @@ def dyadic_coefficient(fam: DyadicFamily, j: int, n: int) -> GridFunction1D:
     x = np.linspace(-1.0, 1.0, n + 1)
     half_width = 2.0 ** (-j)
     amp = 2.0 ** (fam.beta_d * j)
-    ind = indicator_values(x, -half_width, half_width, domain=iv)
+    ind = indicator_values(x, -half_width, half_width)
     return GridFunction1D(iv, 1.0 + amp * ind)
 
 
@@ -414,8 +419,6 @@ def dyadic_build(fam: DyadicFamily, j: int, n: int) -> DyadicBuild:
     through its primitive F = -du + du(-1), avoiding any numerical
     differentiation.
     """
-    if fam.beta_d > 0:
-        raise ValueError("beta_d must be <= 0 so that a_j stays within [1, 2]")
     u, du = dyadic_profile(fam, n)
     a_j = dyadic_coefficient(fam, j, n)
     F = du.with_values(-du.values + du.values[0])
@@ -426,10 +429,6 @@ def dyadic_build(fam: DyadicFamily, j: int, n: int) -> DyadicBuild:
 def dyadic_rate(fam: DyadicFamily, p: float, j_range, n: int) -> ExperimentReport:
     """Least-squares slope of log |a - a_j|_{Lp} against log |u - u_j|_V over
     j_range, compared with gamma = (1/p - beta_d)/(alpha_d - 1/2 - beta_d)."""
-    if fam.beta_d > 0:
-        raise ValueError("beta_d must be <= 0")
-    if not fam.alpha_d > 0.5 + fam.beta_d:
-        raise ValueError("need alpha_d > 1/2 + beta_d")
     u, du = dyadic_profile(fam, n)
     F = du.with_values(-du.values + du.values[0])
     bounds = CoefficientBounds(1.0, 2.0)

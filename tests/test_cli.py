@@ -63,7 +63,7 @@ def test_recover_roundtrip_via_csv(tmp_path):
     code = run(["recover", "--du", f"csv:{du_path}", "--f", f"csv:{f_path}",
                 "--lambda", "0.5", "--Lambda", "2", "--out", str(out)])
     assert code == 0
-    coeff = GridFunction1D.from_json((out / "coefficient.json").read_text())
+    coeff = GridFunction1D.from_json_dict(json.loads((out / "coefficient.json").read_text()))
     rep = json.loads((out / "recover.json").read_text())
     masked = np.array(rep["curves"]["masked"], dtype=bool)
     err = np.abs(coeff.values - a.values)[~masked].max()
@@ -197,7 +197,7 @@ def test_recover_from_u_differentiates_first(tmp_path):
     out = tmp_path / "rec_u"
     assert run(["recover", "--u", f"csv:{u_path}", "--f", f"csv:{f_path}",
                 "--out", str(out)]) == 0
-    coeff = GF.from_json((out / "coefficient.json").read_text())
+    coeff = GF.from_json_dict(json.loads((out / "coefficient.json").read_text()))
     rep = json.loads((out / "recover.json").read_text())
     masked = np.array(rep["curves"]["masked"], dtype=bool)
     assert np.abs(coeff.values - 1.0)[~masked].max() < 5e-2
@@ -334,7 +334,7 @@ def test_holder_needs_both_exponents_or_neither(flag, capsys):
     assert err.count("\n") == 1 and "--alpha and --beta" in err
 
 
-@pytest.mark.parametrize("alpha, beta", [("1", "0"), ("1", "-0.5"), ("-1", "0.5")])
+@pytest.mark.parametrize("alpha, beta", [("1", "0"), ("1", "-0.5"), ("-1", "0.5"), ("nan", "1")])
 def test_holder_out_of_range_exponents_exit_2(alpha, beta, tmp_path, capsys):
     # user-given exponents are inputs, not a fitted flat primitive
     out = tmp_path / "hx"
@@ -343,6 +343,29 @@ def test_holder_out_of_range_exponents_exit_2(alpha, beta, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exponents", [[], ["--alpha", "1", "--beta", "1"]], ids=["fitted", "given"])
+@pytest.mark.parametrize("p", ["nan", "inf"])
+def test_holder_p_outside_1_inf_exit_2(p, exponents, tmp_path, capsys):
+    # the exponents are stated for p in [1, inf); the error names the p given
+    out = tmp_path / "hp"
+    code = run(["holder", "--a", "const:1", "--b", "const:1.5", "--f", "const:1", "--p", p,
+                *exponents, "--n", "64", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"got {p}" in err
+    assert not out.exists()
+
+
+def test_recover_nan_threshold_exit_2(tmp_path, capsys):
+    out = tmp_path / "rx"
+    code = run(["recover", "--du", "linear:0.5,-1", "--f", "const:1", "--n", "64",
+                "--threshold", "nan", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "threshold must be positive, got nan" in err
     assert not out.exists()
 
 

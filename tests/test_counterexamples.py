@@ -63,7 +63,7 @@ def test_volterra_certificate_level3():
 def test_volterra_w_vanishes_on_kept_set():
     pair = volterra_pair(2, 2**13, 0.5)
     x = pair.du.x
-    on_kept = pair.kept_set.indicator(x, pair.du.interval) >= 1.0
+    on_kept = pair.kept_set.indicator(x) >= 1.0
     assert np.all(pair.du.values[on_kept] == 0.0)
     assert abs(pair.u.values[-1]) < 1e-15
 

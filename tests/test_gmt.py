@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coeffid.gmt import (
-    LevelSetProfile,
     _perimeters_between_events,
     coarea_check,
     coarea_integral,
@@ -37,7 +36,7 @@ def test_tv_identity():
 
 def test_tv_indicator_jumps():
     g = GridFunction1D.const(0.0, UNIT, 64)
-    h = g.with_values(indicator_values(g.x, 0.25, 0.75, domain=UNIT))
+    h = g.with_values(indicator_values(g.x, 0.25, 0.75))
     assert total_variation(h) == pytest.approx(2.0, abs=1e-14)
 
 
@@ -84,7 +83,7 @@ def test_coarea_on_indicator_profile():
     # two jumps of size amp: TV = 2 amp, and the band integral matches
     amp = 0.125
     g = GridFunction1D.const(0.0, Interval(-1.0, 1.0), 256)
-    h = g.with_values(amp * indicator_values(g.x, -0.25, 0.25, domain=g.interval))
+    h = g.with_values(amp * indicator_values(g.x, -0.25, 0.25))
     assert total_variation(h) == pytest.approx(2 * amp, abs=1e-15)
     assert coarea_integral(h) == pytest.approx(2 * amp, abs=1e-15)
 
@@ -131,13 +130,6 @@ def test_coarea_check_large_profile():
 def test_coarea_nlevels_validation():
     with pytest.raises(ValueError):
         coarea_check(from_fn(lambda x: x, 32), nlevels=4)
-
-
-def test_level_set_profile_validation():
-    with pytest.raises(ValueError):
-        LevelSetProfile(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        LevelSetProfile(np.array([0.0, 1.0]), np.array([-1.0, 1.0]))
 
 
 def test_good_levels_linear_profile():

@@ -11,7 +11,6 @@ from coeffid.inverse import (
     convergence_study,
     default_threshold,
     recover,
-    recover_constant,
     recover_from_primitive,
 )
 
@@ -32,7 +31,7 @@ def unmasked_l1_error(result, truth):
 def test_recover_constant_linear_case(n):
     du = from_fn(lambda x: 0.5 - x, n)
     F = from_fn(lambda x: x, n)
-    assert recover_constant(du, F) == pytest.approx(0.5, abs=1e-12)
+    assert recover_from_primitive(du, F, BOUNDS).C == pytest.approx(0.5, abs=1e-12)
 
 
 def test_recover_constant_matches_forward_constant_cosine():
@@ -40,7 +39,7 @@ def test_recover_constant_matches_forward_constant_cosine():
     a = GridFunction1D.const(1.0, UNIT, n)
     f = from_fn(lambda x: np.cos(2 * np.pi * x), n)
     sol = solve(a, f)
-    C = recover_constant(sol.du, sol.F)
+    C = recover_from_primitive(sol.du, sol.F, BOUNDS).C
     assert C == pytest.approx(sol.Ca, abs=1e-6)
 
 
@@ -49,7 +48,7 @@ def test_recover_constant_roundtrip_variable_coefficient():
     a = from_fn(lambda x: 1.0 + x, n)
     f = GridFunction1D.const(1.0, UNIT, n)
     sol = solve(a, f)
-    C = recover_constant(sol.du, sol.F)
+    C = recover_from_primitive(sol.du, sol.F, BOUNDS).C
     assert abs(C - sol.Ca) < 1e-6 * (1.0 + abs(sol.Ca))
 
 
@@ -58,7 +57,7 @@ def test_recover_constant_one_signed_raises():
     du = GridFunction1D.const(1.0, UNIT, n)
     F = from_fn(lambda x: x, n)
     with pytest.raises(ValueError, match="no zero"):
-        recover_constant(du, F)
+        recover_from_primitive(du, F, BOUNDS)
 
 
 def test_recover_linear_gradient():
@@ -176,6 +175,27 @@ def test_roundtrip_on_shifted_interval():
     assert quadrature(a.with_values(np.abs(diff))) < 1e-3 * iv.length
 
 
+def test_reflection_maps_solution_constant_and_recovery():
+    # x -> lo + hi - x on a and f: u reflects, Ca maps to F(hi) - Ca, and
+    # recovery returns the reflected coefficient
+    n = 4096
+    iv = Interval(-0.5, 1.5)
+    a = from_fn(lambda x: 1.0 + 0.5 * np.sin(3.0 * x) ** 2, n, iv)
+    f = from_fn(lambda x: np.cos(2.0 * x) + 0.3 * x, n, iv)
+    a_r = a.with_values(a.values[::-1])
+    f_r = f.with_values(f.values[::-1])
+    sol, sol_r = solve(a, f), solve(a_r, f_r)
+    u = sol.u.values
+    assert np.abs(sol_r.u.values - u[::-1]).max() <= 1e-12 * np.abs(u).max()
+    assert sol_r.Ca == pytest.approx(sol.F.values[-1] - sol.Ca, rel=1e-12)
+
+    res, res_r = recover(sol.du, f, BOUNDS), recover(sol_r.du, f_r, BOUNDS)
+    assert np.array_equal(res_r.degenerate_mask, res.degenerate_mask[::-1])
+    assert res_r.C == pytest.approx(sol.F.values[-1] - res.C, rel=1e-12)
+    rec = res.a.values
+    assert np.abs(res_r.a.values - rec[::-1]).max() <= 1e-12 * np.abs(rec).max()
+
+
 def test_convergence_study_constant_shifts():
     n = 512
     a = GridFunction1D.const(1.0, UNIT, n)
@@ -196,7 +216,7 @@ def test_convergence_study_sup_norm_failure():
     a = GridFunction1D(iv, np.ones_like(x))
     f = GridFunction1D(iv, np.sign(x) * (np.abs(x) - 0.5))
     perts = [
-        a.with_values(1.0 + indicator_values(x, -2.0**-j, 2.0**-j, domain=iv))
+        a.with_values(1.0 + indicator_values(x, -2.0**-j, 2.0**-j))
         for j in range(2, 8)
     ]
     rep = convergence_study(a, perts, f, math.inf, bounds=CoefficientBounds(0.5, 2.5))

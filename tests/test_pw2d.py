@@ -33,7 +33,6 @@ def test_partition_validation():
         Partition2D(0, 2)
     p = Partition2D(3, 2)
     assert p.n_blocks == 6
-    assert p.block_rect(4) == (1.0 / 3.0, 2.0 / 3.0, 0.5, 1.0)
 
 
 def test_coefficient_validation():
@@ -52,8 +51,7 @@ def test_mesh_must_resolve_partition():
 
 
 def test_stiffness_symmetric_and_sized():
-    system = build_system(const_coeff(1.0), 1.0, 16)
-    K = system.stiffness
+    K, _ = build_system(const_coeff(1.0), 1.0, 16)
     assert K.shape == (15 * 15, 15 * 15)
     assert abs(K - K.T).max() == 0.0
     assert K.diagonal().min() > 0.0
@@ -86,10 +84,24 @@ def test_manufactured_solution_second_order():
 
 
 def test_galerkin_residual_small():
-    system = build_system(const_coeff(1.0), 1.0, 32)
-    x = fem_solve(const_coeff(1.0), 1.0, 32).ravel()[system.interior]
-    r = system.load - system.stiffness @ x
+    K, load = build_system(const_coeff(1.0), 1.0, 32)
+    x = fem_solve(const_coeff(1.0), 1.0, 32)[1:-1, 1:-1].ravel()
+    r = load - K @ x
     assert np.abs(r).max() < 1e-9
+
+
+def test_transpose_symmetry():
+    # the mesh diagonal maps _G1 onto _G2, so with nx = ny a transpose-
+    # symmetric source and blocks permuted (bx, by) -> (by, bx) give the
+    # transposed field at the discrete level
+    part, m = Partition2D(3, 3), 24
+    coeffs = np.linspace(0.6, 1.8, part.n_blocks)
+    a = PwConstCoefficient(part, coeffs)
+    a_t = PwConstCoefficient(part, coeffs.reshape(part.ny, part.nx).T.ravel())
+    g = as_nodal_field(lambda x, y: np.cos(3.0 * x * y) + x - 0.6 + np.sin(5.0 * y), m)
+    f = g + g.T
+    u = fem_solve(a, f, m)
+    assert np.abs(fem_solve(a_t, f, m) - u.T).max() <= 1e-12 * np.abs(u).max()
 
 
 def test_callable_source_returning_scalar_is_broadcast():

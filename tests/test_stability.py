@@ -1,6 +1,7 @@
 """Band measures, exponent fits, stability-exponent arithmetic, and the
 dyadic multiscale family."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -250,6 +251,12 @@ def test_holder_exponent_validation():
         holder_exponent(2.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         holder_exponent(2.0, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        holder_exponent(math.nan, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        holder_exponent(2.0, math.nan, 1.0)
+    with pytest.raises(ValueError):
+        holder_exponent(math.inf, 1.0, 1.0)
 
 
 # -- verify_holder ---------------------------------------------------------------
@@ -319,6 +326,12 @@ def test_dyadic_family_tail_bound_enforced():
     assert 2.0 ** (-(fam.alpha_d - 0.5) * fam.K_trunc) < 1e-8
     with pytest.raises(ValueError, match="alpha_d"):
         DyadicFamily(alpha_d=0.5, beta_d=0.0)
+
+
+@pytest.mark.parametrize("beta_d", [0.5, math.nan])
+def test_dyadic_family_rejects_beta_above_zero_or_nan(beta_d):
+    with pytest.raises(ValueError, match="beta_d must be <= 0"):
+        DyadicFamily(alpha_d=2.0, beta_d=beta_d)
 
 
 def test_dyadic_profile_even_with_zero_boundary():

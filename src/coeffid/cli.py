@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from pathlib import Path
 
@@ -176,13 +177,24 @@ def _cmd_recover(args):
     return rep, {"coefficient.json": res.a.to_json_dict()}
 
 
+def _span(F: GridFunction1D) -> float:
+    """max F - min F, rejecting a constant F, whose level bands cannot be fitted."""
+    span = float(F.values.max() - F.values.min())
+    if not span > 0.0:
+        raise ValueError("F is constant: no level bands to fit")
+    return span
+
+
 def _cmd_exponents(args):
     iv = Interval(args.lo, args.hi)
     if args.F is not None:
         F = _parse_grid_function(args.F, iv, args.n)
     else:
         F = primitive(_parse_grid_function(args.f, iv, args.n))
-    span = float(F.values.max() - F.values.min())
+    span = _span(F)
+    for flag, rho in (("--rho-min", args.rho_min), ("--rho-max", args.rho_max)):
+        if rho is not None and not (math.isfinite(rho) and rho > 0.0):
+            raise ValueError(f"{flag} must be finite and positive, got {rho}")
     rho_max = args.rho_max if args.rho_max is not None else span / 4.0
     rho_min = args.rho_min if args.rho_min is not None else rho_max / 512.0
     rho_grid = np.geomspace(rho_max, rho_min, args.rho_points)
@@ -212,7 +224,7 @@ def _cmd_holder(args):
     alpha, beta, flat = args.alpha, args.beta, False
     if alpha is None:
         F = primitive(f)
-        span = float(F.values.max() - F.values.min())
+        span = _span(F)
         fit = fit_exponents(F, np.geomspace(span / 4.0, span / 2048.0, 10), 32)
         alpha, beta, flat = fit.alpha, fit.beta, fit.beta_degenerate
     rep = ExperimentReport(

@@ -11,6 +11,11 @@ integral of du. Because C is computed with the same trapezoid rule as the
 cumulative integral, u(hi) = 0 holds to rounding, and the flux identity holds
 nodewise by construction. F always satisfies min F < C < max F when f is not
 identically zero.
+
+The kernels work in place on as few full-length buffers as they can, but
+every floating-point operation is the textbook one, on the same operands in
+the same order: (h/2)(v_i + v_{i+1}) summed left to right, (C - F)/a, and
+(a du + F) - C. So every value keeps its bits whatever the buffering.
 """
 
 from __future__ import annotations
@@ -50,10 +55,18 @@ class ForwardSolution:
     boundary_residual: float
 
 
+def _max_abs(values: np.ndarray) -> float:
+    """max |v| with no |v| temporary: max(max v, -min v) is the same value."""
+    return max(float(values.max()), -float(values.min()))
+
+
 def _cumtrapz(values: np.ndarray, h: float) -> np.ndarray:
     out = np.empty_like(values)
     out[0] = 0.0
-    np.cumsum(h * 0.5 * (values[:-1] + values[1:]), out=out[1:])
+    steps = out[1:]
+    np.add(values[:-1], values[1:], out=steps)
+    steps *= h * 0.5
+    np.cumsum(steps, out=steps)
     return out
 
 
@@ -73,7 +86,9 @@ def flux_constant(a: GridFunction1D, F: GridFunction1D) -> float:
     w = 1.0 / a.values
     w[0] *= 0.5
     w[-1] *= 0.5
-    return float((w * F.values).sum() / w.sum())
+    total = w.sum()
+    w *= F.values
+    return float(w.sum() / total)
 
 
 def solve_from_primitive(
@@ -94,16 +109,20 @@ def solve_from_primitive(
         raise ValueError("coefficient must be strictly positive")
 
     Ca = flux_constant(a, F)
-    du_vals = (Ca - F.values) / a.values
+    du_vals = np.subtract(Ca, F.values)
+    du_vals /= a.values
     u_vals = _cumtrapz(du_vals, a.h)
 
-    flux_res = float(np.abs(a.values * du_vals + F.values - Ca).max())
-    flux_scale = 1.0 + abs(Ca) + float(np.abs(F.values).max())
+    res = np.multiply(a.values, du_vals)
+    res += F.values
+    res -= Ca
+    flux_res = float(np.abs(res, out=res).max())
+    flux_scale = 1.0 + abs(Ca) + _max_abs(F.values)
     if flux_res > FLUX_TOL * flux_scale:
         raise RuntimeError(f"flux identity residual {flux_res:.3e} exceeds tolerance")
 
     boundary_res = float(abs(u_vals[-1]))
-    u_scale = 1.0 + float(np.abs(u_vals).max())
+    u_scale = 1.0 + _max_abs(u_vals)
     if boundary_res > BOUNDARY_TOL * u_scale:
         raise RuntimeError(
             f"boundary closure failed: |u(hi)| = {boundary_res:.3e} "

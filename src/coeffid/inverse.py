@@ -6,6 +6,10 @@ zero in the open interval; evaluating F there identifies C without any
 optimization. Nodes where |u'| falls below a threshold carry no information
 about a (genuine non-uniqueness lives exactly there), so they are masked,
 filled by nearest-neighbor values, and reported.
+
+Recovery works in place: C - F is formed once and divided by u' only where
+u' is not masked, with the same operations in the same order as the
+textbook (C - F_i)/u'_i, so the recovered values keep their bits.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .forward import primitive, solve
+from .forward import _max_abs, primitive, solve
 from .grids import (
     CoefficientBounds,
     GridFunction1D,
@@ -56,7 +60,7 @@ class RecoveryResult:
 def default_threshold(du: GridFunction1D) -> float:
     """Resolution-scaled cutoff sqrt(h) * max|du| / 100 below which u' is
     treated as vanishing."""
-    t = math.sqrt(du.h) * float(np.abs(du.values).max()) * 1e-2
+    t = math.sqrt(du.h) * _max_abs(du.values) * 1e-2
     return max(t, 1e-300)
 
 
@@ -112,16 +116,19 @@ def recover_from_primitive(
     if mask.all():
         raise ValueError("gradient vanishes everywhere")
 
-    raw = np.zeros_like(v)
     good = ~mask
-    raw[good] = (C - Fv[good]) / v[good]
+    # masked nodes keep C - F here; the infill below overwrites them
+    raw = np.subtract(C, Fv)
+    np.divide(raw, v, out=raw, where=good)
     clipped = np.clip(raw, bounds.lam, bounds.Lam)
-    n_clamped = int(np.count_nonzero(clipped[good] != raw[good]))
+    clamped = np.not_equal(clipped, raw)
+    del raw
+    n_clamped = int(np.count_nonzero(np.logical_and(clamped, good, out=clamped)))
 
     # nearest-unmasked infill; ties break to the left for determinism
-    good_idx = np.nonzero(good)[0]
     bad_idx = np.nonzero(mask)[0]
     if bad_idx.size:
+        good_idx = np.nonzero(good)[0]
         pos = np.searchsorted(good_idx, bad_idx)
         left = good_idx[np.clip(pos - 1, 0, good_idx.size - 1)]
         right = good_idx[np.clip(pos, 0, good_idx.size - 1)]

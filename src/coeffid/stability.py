@@ -384,6 +384,10 @@ def dyadic_profile(fam: DyadicFamily, n: int) -> tuple:
     u(x) = sum_k 2^{-alpha_d k} bump(2^k |x|); the scale supports
     (2^{-k-1}, 2^{-k}) are disjoint. du is assembled from the analytic series
     derivative (odd extension).
+
+    Scale k is evaluated only on the nodes with |x| <= 2^{-k}: outside that
+    window it is exactly 0, and adding +0.0 to a sum that started at +0.0
+    changes no bit, so the total work is O(n) with the same values.
     """
     if n % 2:
         raise ValueError("n must be even so that x = 0 is a node")
@@ -393,9 +397,11 @@ def dyadic_profile(fam: DyadicFamily, n: int) -> tuple:
     u = np.zeros_like(x)
     du_abs = np.zeros_like(x)
     for k in range(fam.K_trunc + 1):
-        y = (2.0**k) * ax
-        u += 2.0 ** (-fam.alpha_d * k) * _bump(y)
-        du_abs += 2.0 ** ((1.0 - fam.alpha_d) * k) * _bump_derivative(y)
+        half = 2.0 ** (-k)
+        lo, hi = np.searchsorted(x, -half, "left"), np.searchsorted(x, half, "right")
+        y = (2.0**k) * ax[lo:hi]
+        u[lo:hi] += 2.0 ** (-fam.alpha_d * k) * _bump(y)
+        du_abs[lo:hi] += 2.0 ** ((1.0 - fam.alpha_d) * k) * _bump_derivative(y)
     du = np.sign(x) * du_abs
     return GridFunction1D(iv, u), GridFunction1D(iv, du)
 
@@ -428,7 +434,19 @@ def dyadic_build(fam: DyadicFamily, j: int, n: int) -> DyadicBuild:
 
 def dyadic_rate(fam: DyadicFamily, p: float, j_range, n: int) -> ExperimentReport:
     """Least-squares slope of log |a - a_j|_{Lp} against log |u - u_j|_V over
-    j_range, compared with gamma = (1/p - beta_d)/(alpha_d - 1/2 - beta_d)."""
+    j_range, compared with gamma = (1/p - beta_d)/(alpha_d - 1/2 - beta_d).
+
+    gamma = 0 (p = inf with beta_d = 0) leaves no rate to compare against and
+    is rejected before any solve."""
+    p = float(p)
+    if not p >= 1.0:
+        raise ValueError(f"norm exponent must satisfy p >= 1, got {p}")
+    gamma = (1.0 / p - fam.beta_d) / (fam.alpha_d - 0.5 - fam.beta_d)
+    if gamma == 0.0:
+        raise ValueError(
+            f"gamma = 0 for p = {p} and beta_d = {fam.beta_d}: "
+            "the rate needs 1/p > beta_d"
+        )
     u, du = dyadic_profile(fam, n)
     F = du.with_values(-du.values + du.values[0])
     bounds = CoefficientBounds(1.0, 2.0)
@@ -447,7 +465,6 @@ def dyadic_rate(fam: DyadicFamily, p: float, j_range, n: int) -> ExperimentRepor
         raise ValueError("fewer than 3 usable j values")
 
     slope = float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
-    gamma = (1.0 / p - fam.beta_d) / (fam.alpha_d - 0.5 - fam.beta_d)
     rel_dev = abs(slope - gamma) / abs(gamma)
 
     return ExperimentReport(

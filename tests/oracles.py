@@ -6,7 +6,10 @@ classical double-sine series for the unit-square Poisson problem, and the
 block H^-1 norm is a dense solve of the 5-point stencil. The serialization
 oracles render one element at a time, with no column formatting or memo.
 The band measure is the per-cell overlap sum, one band per call, with none of
-the sorting and counting of coeffid.stability.k_rho_measure.
+the sorting and counting of coeffid.stability.k_rho_measure. The 1D
+flux-identity kernels are written out with a fresh array for every step, a
+boolean gather and scatter for the unmasked nodes, and every dyadic scale
+evaluated over every node: the library must match them bit for bit.
 """
 
 import csv
@@ -17,6 +20,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from coeffid.grids import GridFunction1D, fmt_float
+from coeffid.stability import _bump, _bump_derivative
 
 
 def fd_solve(a: GridFunction1D, f: GridFunction1D) -> GridFunction1D:
@@ -196,3 +200,91 @@ def grid_csv(g: GridFunction1D, path) -> None:
         w.writerow(["x", "value"])
         for xi, vi in zip(g.x, g.values):
             w.writerow([fmt_float(xi), fmt_float(vi)])
+
+
+def cumtrapz(values: np.ndarray, h: float) -> np.ndarray:
+    """Cumulative trapezoid rule with F(lo) = 0: the reference for
+    coeffid.forward._cumtrapz."""
+    out = np.empty_like(values)
+    out[0] = 0.0
+    np.cumsum(h * 0.5 * (values[:-1] + values[1:]), out=out[1:])
+    return out
+
+
+def flux_constant(a: GridFunction1D, F: GridFunction1D) -> float:
+    """(int F/a) / (int 1/a) by the trapezoid rule."""
+    w = 1.0 / a.values
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return float((w * F.values).sum() / w.sum())
+
+
+def flux_solve(a: GridFunction1D, F: GridFunction1D) -> dict:
+    """u, du, Ca and both residuals of the flux-identity solve, one fresh
+    array per step: the reference for coeffid.forward.solve_from_primitive."""
+    Ca = flux_constant(a, F)
+    du = (Ca - F.values) / a.values
+    u = cumtrapz(du, a.h)
+    return {
+        "u": u,
+        "du": du,
+        "Ca": Ca,
+        "flux_residual": float(np.abs(a.values * du + F.values - Ca).max()),
+        "boundary_residual": float(abs(u[-1])),
+    }
+
+
+def default_threshold(du: GridFunction1D) -> float:
+    """sqrt(h) * max|du| / 100, floored at 1e-300."""
+    return max(math.sqrt(du.h) * float(np.abs(du.values).max()) * 1e-2, 1e-300)
+
+
+def flux_recover(du: GridFunction1D, F: GridFunction1D, lam: float, Lam: float,
+                 threshold: float) -> dict:
+    """a = clip((C - F)/u') with C at the zero of u' nearest the smallest
+    interior |u'|, masked nodes filled from the nearest unmasked node (ties to
+    the left): the reference for coeffid.inverse.recover_from_primitive."""
+    v = du.values
+    x = du.x
+    abs_v = np.abs(v)
+    cells = np.nonzero(v[:-1] * v[1:] < 0.0)[0]
+    t = v[cells] / (v[cells] - v[cells + 1])
+    zeros = x[cells] + t * du.h
+    i_min = 1 + int(np.argmin(abs_v[1:-1]))
+    Fv = F.values
+    k = int(np.searchsorted(cells, i_min - 1))
+    if k < cells.size and cells[k] <= i_min:
+        c = cells[k]
+        C = float(Fv[c] + t[k] * (Fv[c + 1] - Fv[c]))
+    else:
+        C = float(Fv[i_min])
+    mask = abs_v < threshold
+    candidates = set(zeros.tolist()).union(x[abs_v <= threshold].tolist())
+
+    raw = np.zeros_like(v)
+    good = ~mask
+    raw[good] = (C - Fv[good]) / v[good]
+    clipped = np.clip(raw, lam, Lam)
+    n_clamped = int(np.count_nonzero(clipped[good] != raw[good]))
+    good_idx = np.nonzero(good)[0]
+    for i in np.nonzero(mask)[0]:
+        j = int(np.searchsorted(good_idx, i))
+        left = good_idx[max(j - 1, 0)]
+        right = good_idx[min(j, good_idx.size - 1)]
+        clipped[i] = clipped[left if abs(i - left) <= abs(right - i) else right]
+    return {"a": clipped, "C": C, "mask": mask, "n_clamped": n_clamped,
+            "candidates": tuple(sorted(candidates))}
+
+
+def dyadic_profile(alpha_d: float, K_trunc: int, n: int) -> tuple:
+    """(u, du) of the dyadic family with every scale evaluated over every
+    node: the reference for coeffid.stability.dyadic_profile."""
+    x = np.linspace(-1.0, 1.0, n + 1)
+    ax = np.abs(x)
+    u = np.zeros_like(x)
+    du_abs = np.zeros_like(x)
+    for k in range(K_trunc + 1):
+        y = (2.0**k) * ax
+        u += 2.0 ** (-alpha_d * k) * _bump(y)
+        du_abs += 2.0 ** ((1.0 - alpha_d) * k) * _bump_derivative(y)
+    return u, np.sign(x) * du_abs

@@ -369,6 +369,38 @@ def test_recover_nan_threshold_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_dyadic_zero_gamma_exit_2(tmp_path, capsys):
+    # p = inf with beta = 0 gives gamma = 0: no rate to compare, rejected before any solve
+    out = tmp_path / "dz"
+    code = run(["dyadic", "--alpha", "2", "--beta", "0", "--p", "inf", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "p = inf" in err and "beta_d = 0.0" in err
+    assert not out.exists()
+    code = run(["dyadic", "--alpha", "2", "--beta", "-0.5", "--p", "inf",
+                "--jmax", "8", "--n", str(2**14), "--out", str(out)])
+    assert code == 0
+    assert json.loads((out / "dyadic.json").read_text())["metrics"]["gamma"] == 0.25
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["exponents", "--f", "const:0"], "F is constant"),
+    (["exponents", "--F", "const:2"], "F is constant"),
+    (["holder", "--a", "const:1", "--b", "const:1.5", "--f", "const:0", "--p", "2"],
+     "F is constant"),
+    (["exponents", "--f", "linear:1,-2", "--rho-min", "0"], "--rho-min must be finite and positive"),
+    (["exponents", "--f", "linear:1,-2", "--rho-min", "nan"], "--rho-min must be finite and positive"),
+    (["exponents", "--f", "linear:1,-2", "--rho-max", "inf"], "--rho-max must be finite and positive"),
+    (["exponents", "--f", "linear:1,-2", "--rho-max", "-1"], "--rho-max must be finite and positive"),
+])
+def test_unfittable_band_input_exit_2(argv, cause, tmp_path, capsys):
+    out = tmp_path / "bx"
+    assert run(argv + ["--n", "256", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and cause in err
+    assert not out.exists()
+
+
 _TRUTH_ARGV = ["pw2d", "recover", "--m", "8", "--truth"]
 _DU_ARGV = ["recover", "--f", "const:1", "--du"]
 

@@ -14,7 +14,7 @@ from .grids import (
     quadrature,
 )
 from .forward import ForwardSolution, flux_constant, primitive, solve, solve_from_primitive
-from .inverse import RecoveryResult, convergence_study, recover, recover_from_primitive
+from .inverse import RecoveryResult, recover, recover_from_primitive
 from .gmt import coarea_check, good_levels, level_perimeter, total_variation
 from .stability import (
     DyadicFamily,
@@ -56,7 +56,6 @@ __all__ = [
     "RecoveryResult",
     "recover",
     "recover_from_primitive",
-    "convergence_study",
     "total_variation",
     "level_perimeter",
     "coarea_check",

@@ -81,10 +81,6 @@ class Interval:
         if not self.lo < self.hi:
             raise ValueError(f"degenerate interval [{self.lo}, {self.hi}]")
 
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
 
 UNIT = Interval(0.0, 1.0)
 
@@ -163,29 +159,11 @@ class GridFunction1D:
             return self.with_values(op(self.values, other.values))
         return self.with_values(op(self.values, float(other)))
 
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __radd__(self, other):
-        return self._binary(other, np.add)
-
     def __sub__(self, other):
         return self._binary(other, np.subtract)
 
-    def __rsub__(self, other):
-        return self._binary(other, lambda a, b: b - a)
-
     def __mul__(self, other):
         return self._binary(other, np.multiply)
-
-    def __rmul__(self, other):
-        return self._binary(other, np.multiply)
-
-    def __truediv__(self, other):
-        return self._binary(other, np.divide)
-
-    def __neg__(self):
-        return self.with_values(-self.values)
 
     def __abs__(self):
         return self.with_values(np.abs(self.values))

@@ -18,23 +18,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
-from .forward import _max_abs, primitive, solve
-from .grids import (
-    CoefficientBounds,
-    GridFunction1D,
-    lp_norm,
-    require_same_grid,
-)
-from .report import ExperimentReport
+from .forward import _max_abs, primitive
+from .grids import CoefficientBounds, GridFunction1D, require_same_grid
 
 __all__ = [
     "RecoveryResult",
     "default_threshold",
     "recover",
     "recover_from_primitive",
-    "convergence_study",
 ]
 
 
@@ -156,56 +148,3 @@ def recover(
     """Recover the coefficient from u' and the source density f."""
     require_same_grid(du, f)
     return recover_from_primitive(du, primitive(f), bounds, threshold)
-
-
-def convergence_study(
-    a: GridFunction1D,
-    perturbations,
-    f: GridFunction1D,
-    p: float,
-    bounds: CoefficientBounds | None = None,
-) -> ExperimentReport:
-    """Check that coefficient distance decreases in trend with gradient distance.
-
-    For each perturbed coefficient a_n the pair (|u'_{a_n} - u'_a|_{L2},
-    |a_n - a|_{Lp}) is computed from forward solves; the trend is declared
-    monotone when the Spearman rank correlation exceeds 0.9.
-    """
-    base = solve(a, f, bounds)
-    xs, ys = [], []
-    for an in perturbations:
-        require_same_grid(a, an)
-        sn = solve(an, f, bounds)
-        xs.append(lp_norm(sn.du - base.du, 2.0))
-        ys.append(lp_norm(an - a, p))
-    xs_arr = np.asarray(xs)
-    ys_arr = np.asarray(ys)
-
-    tiny = 1e-14 * (1.0 + float(np.abs(a.values).max()))
-    notes = ""
-    if xs_arr.size < 2:
-        corr = 0.0
-        monotone = False
-        notes = "fewer than two perturbations; no trend to measure"
-    elif np.ptp(xs_arr) == 0.0 or np.ptp(ys_arr) == 0.0:
-        if xs_arr.max() < tiny and ys_arr.max() < tiny:
-            corr = 1.0
-            monotone = True
-            notes = "all perturbations coincide with the base coefficient"
-        else:
-            corr = 0.0
-            monotone = False
-            notes = "constant column: no monotone trend"
-    else:
-        corr = float(stats.spearmanr(xs_arr, ys_arr).statistic)
-        monotone = corr > 0.9
-
-    return ExperimentReport(
-        name="convergence_study",
-        inputs={"p": float(p), "count": len(xs)},
-        metrics={"spearman": corr, "max_du_gap": float(xs_arr.max(initial=0.0)),
-                 "max_coeff_gap": float(ys_arr.max(initial=0.0))},
-        curves={"du_gap_l2": xs, "coeff_gap_lp": ys},
-        passed=monotone,
-        notes=notes,
-    )

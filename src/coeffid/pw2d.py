@@ -96,10 +96,6 @@ class PwConstCoefficient:
     def admissible(self, bounds: CoefficientBounds) -> bool:
         return bool(np.all((self.coeffs >= bounds.lam) & (self.coeffs <= bounds.Lam)))
 
-    def to_json_dict(self) -> dict:
-        return {"nx": self.partition.nx, "ny": self.partition.ny,
-                "coeffs": list(self.coeffs)}
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "PwConstCoefficient":
         nx, ny, coeffs = json_fields(d, ("nx", "ny", "coeffs"))
@@ -346,33 +342,34 @@ def recover_pw(
     reads the state and all block sensitivities -K^{-1} K_i u off that factor;
     a step that raises the misfit is halved. Steps stop, converged, when the
     misfit falls by at most SWEEP_TOL relative to its value or the step is
-    below 1e-12; after MAX_SWEEPS steps the result carries a warning. When f
-    carries no energy on some block (min block H^-1 norm is zero) the problem
-    is not identifiable there; the result then holds midpoint values and a
-    warning.
+    below 1e-12; after MAX_SWEEPS steps the result carries a warning. The data
+    decide identifiability: when the equation-error matrix [K_i u] is rank
+    deficient (smallest singular value at most 1e-12 times the largest, or
+    the matrix is zero), some block's column lies in the span of the others
+    and its constant is not determined; the result then holds midpoint
+    values and a warning.
     """
     ws = _workspace(partition.nx, partition.ny, m)
     u_flat = np.asarray(u_meas, dtype=float).ravel()
     if u_flat.size != ws.n_nodes:
         raise ValueError("u_meas does not match the mesh")
 
-    f = as_nodal_field(f, m)  # sample a callable source once for every use below
-    hm = np.array([hminus1_norm(f, partition, i, m) for i in range(partition.n_blocks)])
-    mid = 0.5 * (bounds.lam + bounds.Lam)
-    if hm.min() <= 1e-12 * (1.0 + hm.max()):
+    nb = partition.n_blocks
+    inner = ws.interior
+    b_int = (ws.mass @ as_nodal_field(f, m).ravel())[inner]
+    A = np.column_stack([Kb @ u_flat[inner] for Kb in ws.stiff_blocks_int])
+    start, _, _, sv = np.linalg.lstsq(A, b_int, rcond=None)
+    if sv[-1] <= 1e-12 * sv[0]:
+        mid = 0.5 * (bounds.lam + bounds.Lam)
         return PwRecovery(
-            coeff=PwConstCoefficient(partition, np.full(partition.n_blocks, mid)),
+            coeff=PwConstCoefficient(partition, np.full(nb, mid)),
             converged=False,
-            warning="source has no energy on at least one block: coefficients there are arbitrary",
+            warning="data do not determine every block: coefficients there are arbitrary",
             sweeps=0,
             objective=0.0,
         )
 
-    nb = partition.n_blocks
-    inner = ws.interior
-    b_int = (ws.mass @ f.ravel())[inner]
-    A = np.column_stack([Kb @ u_flat[inner] for Kb in ws.stiff_blocks_int])
-    coeffs = np.clip(np.linalg.lstsq(A, b_int, rcond=None)[0], bounds.lam, bounds.Lam)
+    coeffs = np.clip(start, bounds.lam, bounds.Lam)
 
     def linearize(c: np.ndarray):
         """Misfit J(c) with its Gauss-Newton gradient and normal matrix, from

@@ -387,7 +387,11 @@ def dyadic_profile(fam: DyadicFamily, n: int) -> tuple:
 
     Scale k is evaluated only on the nodes with |x| <= 2^{-k}: outside that
     window it is exactly 0, and adding +0.0 to a sum that started at +0.0
-    changes no bit, so the total work is O(n) with the same values.
+    changes no bit, so the total work is O(n) with the same values. Beyond
+    k = n.bit_length() the window holds only the middle node, which linspace
+    puts at 0 or -2^-53; there 2^k |x| is 0 or a power of two, outside the
+    bump's open support, so every further term is +0.0. The loop stops there,
+    and 2^k stays finite however large K_trunc is.
     """
     if n % 2:
         raise ValueError("n must be even so that x = 0 is a node")
@@ -396,7 +400,7 @@ def dyadic_profile(fam: DyadicFamily, n: int) -> tuple:
     ax = np.abs(x)
     u = np.zeros_like(x)
     du_abs = np.zeros_like(x)
-    for k in range(fam.K_trunc + 1):
+    for k in range(min(fam.K_trunc, n.bit_length()) + 1):
         half = 2.0 ** (-k)
         lo, hi = np.searchsorted(x, -half, "left"), np.searchsorted(x, half, "right")
         y = (2.0**k) * ax[lo:hi]

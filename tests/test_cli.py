@@ -383,6 +383,21 @@ def test_dyadic_zero_gamma_exit_2(tmp_path, capsys):
     assert json.loads((out / "dyadic.json").read_text())["metrics"]["gamma"] == 0.25
 
 
+
+def test_dyadic_alpha_near_half_no_overflow(tmp_path, capsys):
+    # alpha = 0.51 keeps over a thousand scales (K_trunc > 1023), where 2^k
+    # would overflow; scales finer than the grid are never formed
+    out = tmp_path / "dh"
+    argv = ["dyadic", "--alpha", "0.51", "--beta", "0", "--p", "1", "--n", "1024"]
+    assert run(argv + ["--jmax", "4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "usable j values" in err
+    assert not out.exists()
+    assert run(argv + ["--jmin", "2", "--jmax", "6", "--out", str(out)]) in (0, 1)
+    rep = json.loads((out / "dyadic.json").read_text())
+    assert rep["inputs"]["j_range"] == [2, 3, 4, 5, 6]
+    assert np.all(np.isfinite(rep["curves"]["u_gap_V"]))
+
 @pytest.mark.parametrize("argv, cause", [
     (["exponents", "--f", "const:0"], "F is constant"),
     (["exponents", "--F", "const:2"], "F is constant"),

@@ -7,12 +7,7 @@ import pytest
 
 from coeffid.forward import primitive, solve
 from coeffid.grids import CoefficientBounds, GridFunction1D, Interval, quadrature
-from coeffid.inverse import (
-    convergence_study,
-    default_threshold,
-    recover,
-    recover_from_primitive,
-)
+from coeffid.inverse import default_threshold, recover, recover_from_primitive
 
 UNIT = Interval(0.0, 1.0)
 BOUNDS = CoefficientBounds(0.5, 2.0)
@@ -139,29 +134,6 @@ def test_nearest_neighbor_infill_deterministic():
     assert np.all(np.isin(filled, neighbors))
 
 
-def test_convergence_study_decaying_perturbations():
-    n = 1024
-    a = GridFunction1D.const(1.0, UNIT, n)
-    f = GridFunction1D.const(1.0, UNIT, n)
-    perts = [
-        a.with_values(a.values + (1.0 / k) * np.sin(2 * np.pi * a.x))
-        for k in range(2, 12)
-    ]
-    rep = convergence_study(a, perts, f, 1.0)
-    assert rep.passed
-    assert rep.metrics["spearman"] > 0.9
-
-
-def test_convergence_study_identical_perturbations():
-    n = 256
-    a = GridFunction1D.const(1.0, UNIT, n)
-    f = GridFunction1D.const(1.0, UNIT, n)
-    rep = convergence_study(a, [a, a, a], f, 2.0)
-    assert rep.passed
-    assert max(rep.curves["du_gap_l2"]) == 0.0
-    assert max(rep.curves["coeff_gap_lp"]) == 0.0
-
-
 def test_roundtrip_on_shifted_interval():
     # nothing in the flux identity is tied to (0, 1)
     iv = Interval(2.0, 5.0)
@@ -172,7 +144,7 @@ def test_roundtrip_on_shifted_interval():
     assert abs(sol.u.values[-1]) < 1e-8 * (1.0 + np.abs(sol.u.values).max())
     res = recover(sol.du, f, BOUNDS)
     diff = np.where(res.degenerate_mask, 0.0, res.a.values - a.values)
-    assert quadrature(a.with_values(np.abs(diff))) < 1e-3 * iv.length
+    assert quadrature(a.with_values(np.abs(diff))) < 1e-3 * (iv.hi - iv.lo)
 
 
 def test_reflection_maps_solution_constant_and_recovery():
@@ -194,33 +166,3 @@ def test_reflection_maps_solution_constant_and_recovery():
     assert res_r.C == pytest.approx(sol.F.values[-1] - res.C, rel=1e-12)
     rec = res.a.values
     assert np.abs(res_r.a.values - rec[::-1]).max() <= 1e-12 * np.abs(rec).max()
-
-
-def test_convergence_study_constant_shifts():
-    n = 512
-    a = GridFunction1D.const(1.0, UNIT, n)
-    f = GridFunction1D.const(1.0, UNIT, n)
-    perts = [a.with_values(a.values + 0.1 / k) for k in (1, 2, 3, 4)]
-    rep = convergence_study(a, perts, f, 2.0)
-    assert rep.passed
-
-
-def test_convergence_study_sup_norm_failure():
-    # shrinking-bump perturbations: gradient distance decays but the sup-norm
-    # coefficient distance stays pinned at the bump height, so no trend
-    from coeffid.grids import indicator_values
-
-    n = 2**12
-    iv = Interval(-1.0, 1.0)
-    x = np.linspace(-1.0, 1.0, n + 1)
-    a = GridFunction1D(iv, np.ones_like(x))
-    f = GridFunction1D(iv, np.sign(x) * (np.abs(x) - 0.5))
-    perts = [
-        a.with_values(1.0 + indicator_values(x, -2.0**-j, 2.0**-j))
-        for j in range(2, 8)
-    ]
-    rep = convergence_study(a, perts, f, math.inf, bounds=CoefficientBounds(0.5, 2.5))
-    assert not rep.passed
-    assert max(rep.curves["coeff_gap_lp"]) == pytest.approx(1.0)
-    gaps = rep.curves["du_gap_l2"]
-    assert gaps[-1] < gaps[0]

@@ -251,6 +251,20 @@ def test_recover_degenerate_source_warns():
     assert res.coeff.admissible(BOUNDS)
 
 
+def test_recover_source_vanishing_on_blocks():
+    # f = 1{x < 1/2} has no H^-1 energy on blocks 1 and 3, yet u moves on
+    # every block and the data determine all four constants
+    part = Partition2D(2, 2)
+    truth = PwConstCoefficient(part, np.array([1.0, 1.5, 0.8, 1.2]))
+    m = 48
+    f = as_nodal_field(lambda x, y: np.where(x < 0.5, 1.0, 0.0), m)
+    assert hminus1_norm(f, part, 1, m) == 0.0 and hminus1_norm(f, part, 3, m) == 0.0
+    res = recover_pw(fem_solve(truth, f, m), f, part, BOUNDS, m)
+    assert res.converged
+    assert res.warning is None
+    assert np.abs(res.coeff.coeffs - truth.coeffs).max() < 1e-8
+
+
 def test_callable_source_sampled_once_per_call():
     calls = []
 

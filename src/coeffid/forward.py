@@ -105,8 +105,6 @@ def solve_from_primitive(
     require_same_grid(a, F)
     if bounds is not None and not admissible(a, bounds):
         raise ValueError(f"coefficient outside [{bounds.lam}, {bounds.Lam}]")
-    if a.values.min() <= 0.0:
-        raise ValueError("coefficient must be strictly positive")
 
     Ca = flux_constant(a, F)
     du_vals = np.subtract(Ca, F.values)

@@ -56,6 +56,12 @@ def default_threshold(du: GridFunction1D) -> float:
     return max(t, 1e-300)
 
 
+def _nodes(g: GridFunction1D, idx: np.ndarray) -> np.ndarray:
+    """g.x[idx] without forming g.x: np.linspace gives node i as i*h + lo
+    and node n as hi."""
+    return np.where(idx == g.n, g.interval.hi, idx * g.h + g.interval.lo)
+
+
 def recover_from_primitive(
     du: GridFunction1D,
     F: GridFunction1D,
@@ -79,13 +85,13 @@ def recover_from_primitive(
         raise ValueError("grid too coarse")
 
     v = du.values
-    x = du.x
     abs_v = np.abs(v)
     # one scan for strict sign changes of u' serves both C and the candidates:
-    # cell c holds the zero x[c] + t h
-    cells = np.nonzero(v[:-1] * v[1:] < 0.0)[0]
+    # cell c holds the zero x_c + t h. Signs are compared, not multiplied: the
+    # product of two tiny values underflows to zero and hides the change
+    cells = np.nonzero((v[:-1] < 0.0) & (v[1:] > 0.0) | (v[:-1] > 0.0) & (v[1:] < 0.0))[0]
     t = v[cells] / (v[cells] - v[cells + 1])
-    zeros = x[cells] + t * du.h
+    zeros = _nodes(du, cells) + t * du.h
     i_min = 1 + int(np.argmin(abs_v[1:-1]))
     if not cells.size and abs_v[i_min] > threshold:
         raise ValueError(
@@ -102,9 +108,10 @@ def recover_from_primitive(
 
     mask = abs_v < threshold
     # every plausible zero of u': refined sign changes plus below-threshold nodes
-    candidates = set(zeros.tolist()).union(x[abs_v <= threshold].tolist())
-    # x and |u'| take 8 bytes a node: free them before the arrays below
-    del x, abs_v
+    low = np.nonzero(abs_v <= threshold)[0]
+    candidates = set(zeros.tolist()).union(_nodes(du, low).tolist())
+    # |u'| takes 8 bytes a node: free it before the arrays below
+    del abs_v
     if mask.all():
         raise ValueError("gradient vanishes everywhere")
 

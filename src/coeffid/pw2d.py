@@ -5,7 +5,15 @@ discrete H^-1 block norms, verification of the per-block stability bound
 
 and recovery of the block constants from one measured solution.
 
-The mesh is uniform, m x m square cells split into two right triangles each.
+The mesh is uniform: m x m square cells, each cut along its SW-NE diagonal
+into two right isosceles triangles whose legs are cell edges. A P1 field's
+energy on such a triangle is half the sum of its squared leg differences,
+whatever the mesh width, so each (nx, ny, m) workspace holds the mesh as one
+list of legs (tail node, head node, block of the cell). The stiffness matrix,
+the block products K_i u, the block gradient norms and the Gauss-Newton gram
+all come from leg differences; a constant coefficient's stiffness is the
+5-point Laplacian. Loads apply the P1 mass stencil to the nodal source.
+
 When m resolves the block partition, multiplying a test function supported in
 one block by a constant keeps it in the discrete space, so the inequality
 above holds exactly at the discrete level (up to rounding) when the H^-1 norm
@@ -15,10 +23,9 @@ verification report still carries the documented slack factor
 
 Every linear solve is a sparse LU factorization (symmetric minimum-degree
 ordering) followed by triangular solves; a factor is reused for every
-right-hand side that shares its matrix. The mesh matrices are assembled once
-per (nx, ny, m) workspace. Block H^-1 norms solve on block 0's interior
-Laplacian and mass rows, sliced from that workspace: every block of a uniform
-partition has the same local matrices, so one factor serves them all.
+right-hand side that shares its matrix. Block H^-1 norms solve on block 0's
+interior 5-point Laplacian: every block of a uniform partition has the same
+one, so one factor serves them all.
 """
 
 from __future__ import annotations
@@ -46,11 +53,6 @@ __all__ = [
     "recover_pw",
     "field_to_json_dict",
 ]
-
-_G1 = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-_G2 = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0], [-1.0, -1.0, 2.0]])
-_STIFF = np.stack([_G1, _G2]) * 0.5
-_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 
 SLACK_COEF = 5.0
 MAX_SWEEPS = 50
@@ -103,46 +105,28 @@ class PwConstCoefficient:
                    np.asarray(coeffs, dtype=float))
 
 
-def _box_triangles(m: int) -> np.ndarray:
-    """Triangle node triples for the m x m cell mesh, nodes indexed
-    iy*(m+1) + ix. Each cell yields (n00,n10,n11) and (n00,n11,n01)."""
-    cx, cy = np.meshgrid(np.arange(m), np.arange(m), indexing="xy")
-    cx = cx.ravel()
-    cy = cy.ravel()
-    n00 = cy * (m + 1) + cx
-    n10 = n00 + 1
-    n01 = n00 + (m + 1)
-    n11 = n01 + 1
-    t1 = np.stack([n00, n10, n11], axis=1)
-    t2 = np.stack([n00, n11, n01], axis=1)
-    tri = np.empty((2 * cx.size, 3), dtype=np.int64)
-    tri[0::2] = t1
-    tri[1::2] = t2
-    return tri
-
-
-def _assemble(tri: np.ndarray, local: np.ndarray, nnodes: int) -> sp.csr_matrix:
-    """Sum local over triangles t into a sparse matrix without stored zeros;
-    local alternates between the two triangle orientations when given shape
-    (2,3,3), so tri must list each cell's two triangles consecutively."""
-    ntri = tri.shape[0]
-    if local.ndim == 2:
-        local = np.stack([local, local])
-    per_tri = local[np.arange(ntri) % 2]
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    mat = sp.coo_matrix((per_tri.ravel(), (rows, cols)), shape=(nnodes, nnodes)).tocsr()
-    mat.eliminate_zeros()
-    return mat
-
-
 def _factor(K: sp.spmatrix):
     """Sparse LU of a symmetric positive definite stiffness matrix."""
     return splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
 
 
+def _second_difference(k: int) -> sp.spmatrix:
+    """tridiag(-1, 2, -1) of order k, k = 0 included."""
+    return sp.spdiags(np.tile([[-1.0], [2.0], [-1.0]], k), [-1, 0, 1], k, k)
+
+
+def _mass_load(g: np.ndarray, h: float) -> np.ndarray:
+    """P1 mass product M g at the interior nodes of a nodal array g indexed
+    [iy, ix], flattened row-major in y. A node shares a triangle with its four
+    axis neighbours and its two neighbours along the cells' SW-NE diagonal:
+    the stencil is h^2/12 times 6 g at the node plus g at those six."""
+    ring = (6.0 * g[1:-1, 1:-1] + g[1:-1, 2:] + g[1:-1, :-2] + g[2:, 1:-1] + g[:-2, 1:-1]
+            + g[2:, 2:] + g[:-2, :-2])
+    return (h * h / 12.0) * ring.ravel()
+
+
 class _Workspace:
-    """Mesh-level structures for one (nx, ny, m) combination."""
+    """The legs of one (nx, ny, m) mesh and the structures derived from them."""
 
     def __init__(self, nx: int, ny: int, m: int):
         if m < 2:
@@ -151,38 +135,64 @@ class _Workspace:
             raise ValueError("mesh resolution m must not exceed 512")
         if m % nx or m % ny:
             raise ValueError("mesh must resolve partition: m must be a multiple of nx and ny")
-        nn = (m + 1) * (m + 1)
-        self.n_nodes = nn
+        self.n_nodes = nn = (m + 1) * (m + 1)
+        self.n_blocks = nb = nx * ny
         self.mx, self.my = mx, my = m // nx, m // ny
         nodes = np.arange(nn).reshape(m + 1, m + 1)
         self.interior = inner = nodes[1:-1, 1:-1].ravel()
 
-        tri = _box_triangles(m)
-        self.tri = tri
-        # block of each triangle, via its cell
+        # the four legs of the cell with SW corner s: the lower triangle's
+        # bottom and right edges, the upper triangle's top and left edges
+        s = nodes[:-1, :-1].ravel()
+        tail = np.stack([s, s + 1, s + m + 2, s + m + 1], axis=1).ravel()
+        head = np.stack([s + 1, s + m + 2, s + m + 1, s], axis=1).ravel()
         cy, cx = np.divmod(np.arange(m * m), m)
-        self.tri_block = np.repeat((cy // my) * nx + cx // mx, 2)
-        # each block over its own triangles only, restricted to interior nodes
-        self.stiff_blocks_int = [
-            _assemble(tri[self.tri_block == blk], _STIFF, nn)[inner][:, inner].tocsr()
-            for blk in range(nx * ny)
-        ]
-        self.laplacian = _assemble(tri, _STIFF, nn)
-        h = 1.0 / m
-        self.mass = _assemble(tri, _MASS * (0.5 * h * h), nn)
-        # block 0's Laplacian on its interior nodes and its mass rows over the
-        # closed block: the rows of interior nodes see only block 0's
-        # triangles, and every block of a uniform partition has these matrices
-        block_inner = nodes[1:my, 1:mx].ravel()
-        self.block_laplacian = self.laplacian[block_inner][:, block_inner].tocsr()
+        leg_block = np.repeat((cy // my) * nx + cx // mx, 4)
+        # a leg of weight a/2 adds a/2 to the diagonal at each interior end
+        # and -a/2 between two interior ends. Per end: its entry (node,
+        # block) of the block products, and its slots in the interior CSR
+        # pattern with the entry of the weights [a/2, -a/2] each takes
+        ends = np.concatenate([tail, head])
+        ends_block = np.tile(leg_block, 2)
+        self._ends = ends * nb + ends_block
+        n = inner.size
+        pos = np.full(nn, -1)
+        pos[inner] = np.arange(n)
+        e, o = pos[ends], pos[np.concatenate([head, tail])]
+        rows, cols = np.concatenate([e, e]), np.concatenate([e, o])
+        keep = (rows >= 0) & (cols >= 0)
+        keys, slot = np.unique((rows * n + cols)[keep], return_inverse=True)
+        slot_weight = np.concatenate([ends_block, ends_block + nb])[keep]
+        self._indices = (keys % n).astype(np.int32)
+        self._indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+        # int32 halves what each cached workspace holds; the block-product
+        # entries stay wide, as n_nodes * n_blocks can pass 2^31
+        self.tail, self.head, self.leg_block, self._slot, self._slot_weight = (
+            a.astype(np.int32) for a in (tail, head, leg_block, slot, slot_weight))
+
+        # the stiffness of a = 1 is the 5-point Laplacian; every block of a
+        # uniform partition has block 0's, so one factor serves them all
+        self.block_laplacian = sp.kronsum(
+            _second_difference(mx - 1), _second_difference(my - 1), format="csc")
         self.block_lu = _factor(self.block_laplacian)
-        self.block_mass = self.mass[block_inner][:, nodes[: my + 1, : mx + 1].ravel()].tocsr()
 
     def stiffness(self, coeffs: np.ndarray) -> sp.csr_matrix:
-        K = coeffs[0] * self.stiff_blocks_int[0]
-        for c, Kb in zip(coeffs[1:], self.stiff_blocks_int[1:]):
-            K = K + c * Kb
-        return K
+        """K(a) on the interior nodes: the leg weights a/2 summed into the
+        fixed pattern."""
+        half = 0.5 * coeffs
+        data = np.bincount(self._slot, weights=np.concatenate([half, -half])[self._slot_weight],
+                           minlength=self._indices.size)
+        return sp.csr_matrix((data, self._indices, self._indptr), shape=(self.interior.size,) * 2)
+
+    def block_products(self, x: np.ndarray) -> np.ndarray:
+        """The interior columns K_i x, one per block, for interior values x
+        with zero boundary data."""
+        v = np.zeros(self.n_nodes)
+        v[self.interior] = x
+        d = 0.5 * (v[self.tail] - v[self.head])
+        out = np.bincount(self._ends, weights=np.concatenate([d, -d]),
+                          minlength=self.n_nodes * self.n_blocks)
+        return out.reshape(self.n_nodes, self.n_blocks)[self.interior]
 
 
 @lru_cache(maxsize=16)
@@ -216,19 +226,16 @@ def build_system(a: PwConstCoefficient, f, m: int) -> tuple:
     ordered as the nodal array's [1:-1, 1:-1] block row-major in y; boundary
     nodes carry the homogeneous Dirichlet constraint."""
     ws = _workspace(a.partition.nx, a.partition.ny, m)
-    K = ws.stiffness(a.coeffs)
-    b_full = ws.mass @ as_nodal_field(f, m).ravel()
-    return K, b_full[ws.interior]
+    return ws.stiffness(a.coeffs), _mass_load(as_nodal_field(f, m), 1.0 / m)
 
 
 def fem_solve(a: PwConstCoefficient, f, m: int) -> np.ndarray:
     """P1 Galerkin solution with homogeneous Dirichlet data, returned as an
     (m+1, m+1) nodal array (zeros on the boundary)."""
-    ws = _workspace(a.partition.nx, a.partition.ny, m)
     K, load = build_system(a, f, m)
-    u = np.zeros(ws.n_nodes)
-    u[ws.interior] = _factor(K).solve(load)
-    return u.reshape(m + 1, m + 1)
+    u = np.zeros((m + 1, m + 1))
+    u[1:-1, 1:-1] = _factor(K).solve(load).reshape(m - 1, m - 1)
+    return u
 
 
 def grad_norm_by_block(u: np.ndarray, partition: Partition2D, m: int) -> np.ndarray:
@@ -237,32 +244,23 @@ def grad_norm_by_block(u: np.ndarray, partition: Partition2D, m: int) -> np.ndar
     v = np.asarray(u, dtype=float).ravel()
     if v.size != ws.n_nodes:
         raise ValueError(f"u has {v.size} nodes, the mesh has {ws.n_nodes}")
-    tri = ws.tri
-    u0 = v[tri[:, 0]]
-    u1 = v[tri[:, 1]]
-    u2 = v[tri[:, 2]]
-    # gradient energies per orientation; h cancels for right isoceles triangles
-    e_lower = 0.5 * ((u1 - u0) ** 2 + (u2 - u1) ** 2)
-    e_upper = 0.5 * ((u1 - u2) ** 2 + (u2 - u0) ** 2)
-    energy = np.where(np.arange(tri.shape[0]) % 2 == 0, e_lower, e_upper)
-    per_block = np.bincount(ws.tri_block, weights=energy, minlength=partition.n_blocks)
+    # half the squared leg difference per leg: h cancels on right isosceles triangles
+    d = v[ws.tail] - v[ws.head]
+    per_block = np.bincount(ws.leg_block, weights=0.5 * d * d, minlength=partition.n_blocks)
     return np.sqrt(per_block)
 
 
 def hminus1_norm(f, partition: Partition2D, block: int, m: int) -> float:
     """Discrete H^-1 norm of f on one block: solve -Lap w = f with zero data
     on the block boundary and return |grad w|_{L2(block)}. Every block of a
-    uniform partition shares block 0's Laplacian, factor and mass rows, which
-    the workspace slices from its own matrices and factors once."""
+    uniform partition shares block 0's interior 5-point Laplacian, which the
+    workspace factors once."""
     if not 0 <= block < partition.n_blocks:
         raise ValueError(f"block must lie in [0, {partition.n_blocks})")
     ws = _workspace(partition.nx, partition.ny, m)
-    mx, my = ws.mx, ws.my
     by, bx = divmod(block, partition.nx)
-
-    field = as_nodal_field(f, m)
-    sub = field[by * my : by * my + my + 1, bx * mx : bx * mx + mx + 1]
-    w = ws.block_lu.solve(ws.block_mass @ sub.ravel())
+    sub = as_nodal_field(f, m)[by * ws.my : (by + 1) * ws.my + 1, bx * ws.mx : (bx + 1) * ws.mx + 1]
+    w = ws.block_lu.solve(_mass_load(sub, 1.0 / m))
     return float(math.sqrt(max(w @ (ws.block_laplacian @ w), 0.0)))
 
 
@@ -356,8 +354,8 @@ def recover_pw(
 
     nb = partition.n_blocks
     inner = ws.interior
-    b_int = (ws.mass @ as_nodal_field(f, m).ravel())[inner]
-    A = np.column_stack([Kb @ u_flat[inner] for Kb in ws.stiff_blocks_int])
+    b_int = _mass_load(as_nodal_field(f, m), 1.0 / m)
+    A = ws.block_products(u_flat[inner])
     start, _, _, sv = np.linalg.lstsq(A, b_int, rcond=None)
     if sv[-1] <= 1e-12 * sv[0]:
         mid = 0.5 * (bounds.lam + bounds.Lam)
@@ -379,8 +377,9 @@ def recover_pw(
         Z = np.zeros((ws.n_nodes, nb + 1))
         Z[:, 0] = -u_flat
         Z[inner, 0] += x
-        Z[inner, 1:] = -lu.solve(np.column_stack([Kb @ x for Kb in ws.stiff_blocks_int]))
-        gram = Z.T @ (ws.laplacian @ Z)
+        Z[inner, 1:] = -lu.solve(ws.block_products(x))
+        D = Z[ws.tail] - Z[ws.head]
+        gram = 0.5 * (D.T @ D)
         return max(gram[0, 0], 0.0), gram[1:, 0], gram[1:, 1:]
 
     J, g, G = linearize(coeffs)

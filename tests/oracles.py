@@ -5,7 +5,10 @@ banded finite-difference discretization solved directly, the 2D oracle is the
 classical double-sine series for the unit-square Poisson problem, and the
 block H^-1 norm is a dense solve of the 5-point stencil. The serialization
 oracles render one element at a time, with no column formatting or memo.
-The band measure is the per-cell overlap sum, one band per call, with none of
+The P1 triangle assembly is the 2D FEM written out per triangle: local
+stiffness and mass matrices scattered over each cell's two triangles, the
+stiffness summed over per-block matrices, with none of the leg arrays of
+coeffid.pw2d. The band measure is the per-cell overlap sum, one band per call, with none of
 the sorting and counting of coeffid.stability.k_rho_measure. The 1D
 flux-identity kernels are written out with a fresh array for every step, a
 boolean gather and scatter for the unmasked nodes, and every dyadic scale
@@ -17,6 +20,7 @@ import json
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import solve_banded
 
 from coeffid.grids import GridFunction1D, fmt_float
@@ -130,6 +134,75 @@ def block_hminus1_dense(f, nx: int, ny: int, block: int, m: int) -> float:
         b[k] = h * h / 2.0 * fv[j, i] + h * h / 12.0 * sum(fv[j + dj, i + di] for di, dj in ring)
     w = np.linalg.solve(K, b)
     return float(np.sqrt(w @ K @ w))
+
+
+# local P1 stiffness of the triangles (n00, n10, n11) and (n00, n11, n01) of a
+# square cell, and the local P1 mass over the triangle area
+_P1_STIFF = 0.5 * np.array([
+    [[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]],
+    [[1.0, 0.0, -1.0], [0.0, 1.0, -1.0], [-1.0, -1.0, 2.0]],
+])
+_P1_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+
+
+def p1_triangles(nx: int, ny: int, m: int) -> tuple:
+    """Triangle node triples of the m x m cell mesh, nodes indexed
+    iy*(m+1) + ix, and the block of each triangle. Cell (cx, cy) yields
+    (n00, n10, n11) and then (n00, n11, n01)."""
+    cy, cx = np.divmod(np.arange(m * m), m)
+    n00 = cy * (m + 1) + cx
+    n01 = n00 + (m + 1)
+    tri = np.empty((2 * m * m, 3), dtype=np.int64)
+    tri[0::2] = np.stack([n00, n00 + 1, n01 + 1], axis=1)
+    tri[1::2] = np.stack([n00, n01 + 1, n01], axis=1)
+    block = np.repeat((cy // (m // ny)) * nx + cx // (m // nx), 2)
+    return tri, block
+
+
+def p1_assemble(tri: np.ndarray, local: np.ndarray, nnodes: int) -> sp.csr_matrix:
+    """Sum local matrices over the triangles into a CSR matrix without stored
+    zeros. local has shape (2, 3, 3), one matrix per orientation, so tri
+    must list each cell's two triangles consecutively."""
+    per_tri = local[np.arange(tri.shape[0]) % 2]
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    mat = sp.coo_matrix((per_tri.ravel(), (rows, cols)), shape=(nnodes, nnodes)).tocsr()
+    mat.eliminate_zeros()
+    return mat
+
+
+def p1_interior(m: int) -> np.ndarray:
+    """Node numbers of the interior nodes, row-major in y."""
+    return np.arange((m + 1) ** 2).reshape(m + 1, m + 1)[1:-1, 1:-1].ravel()
+
+
+def p1_stiffness(coeffs, nx: int, ny: int, m: int) -> sp.csr_matrix:
+    """Interior stiffness of a piecewise-constant coefficient: each block's P1
+    stiffness over its own triangles, restricted to the interior nodes,
+    scaled by its constant and summed over the blocks in id order."""
+    tri, block = p1_triangles(nx, ny, m)
+    inner = p1_interior(m)
+    K = None
+    for blk, c in enumerate(coeffs):
+        Kb = p1_assemble(tri[block == blk], _P1_STIFF, (m + 1) ** 2)[inner][:, inner]
+        K = c * Kb if K is None else K + c * Kb
+    return K.tocsr()
+
+
+def p1_mass(m: int) -> sp.csr_matrix:
+    """P1 mass matrix of the whole mesh, every node included."""
+    tri, _ = p1_triangles(1, 1, m)
+    h = 1.0 / m
+    return p1_assemble(tri, np.stack([_P1_MASS, _P1_MASS]) * (0.5 * h * h), (m + 1) ** 2)
+
+
+def p1_grad_norm_by_block(u: np.ndarray, nx: int, ny: int, m: int) -> np.ndarray:
+    """|grad u|_{L2(D_i)} per block as the sum of the per-triangle energies
+    u_T . S_T u_T with the local stiffness S_T."""
+    tri, block = p1_triangles(nx, ny, m)
+    uT = np.asarray(u, dtype=float).ravel()[tri]
+    energy = np.einsum("ti,tij,tj->t", uT, _P1_STIFF[np.arange(tri.shape[0]) % 2], uT)
+    return np.sqrt(np.bincount(block, weights=energy, minlength=nx * ny))
 
 
 def _render(obj, out: list) -> None:

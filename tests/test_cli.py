@@ -608,15 +608,15 @@ _PINNED_DIGESTS = {
         "manifest.json": "77b2726271f45950",
     }),
     "pw2d verify": (0, {
-        "manifest.json": "95d49fe7b2ea6689",
-        "pw2d_verify.csv": "2b1ebd0c62e03fde",
-        "pw2d_verify.json": "604df1535db8af9d",
+        "manifest.json": "7fdc7917f33a63c8",
+        "pw2d_verify.csv": "327ceb9d1e0d0e3e",
+        "pw2d_verify.json": "174881044059623a",
     }),
     "pw2d recover": (0, {
-        "manifest.json": "8956776e03de84b5",
-        "pw2d_recover.csv": "6a7cdb54d9b473cc",
-        "pw2d_recover.json": "b6acc18162bfc006",
-        "u_meas.json": "c6908ab395addd08",
+        "manifest.json": "b403eeae96a89ebf",
+        "pw2d_recover.csv": "9953a87256635866",
+        "pw2d_recover.json": "7e593787e05b691a",
+        "u_meas.json": "05ead50695e26699",
     }),
 }
 

@@ -166,3 +166,20 @@ def test_reflection_maps_solution_constant_and_recovery():
     assert res_r.C == pytest.approx(sol.F.values[-1] - res.C, rel=1e-12)
     rec = res.a.values
     assert np.abs(res_r.a.values - rec[::-1]).max() <= 1e-12 * np.abs(rec).max()
+
+
+@pytest.mark.parametrize("a_fn, f_fn, n", [
+    (lambda x: 1.2 + 0.3 * np.sin(5.0 * x), lambda x: 1.0, 1000),
+    (lambda x: 1.25 + 0.5 * np.sin(6.0 * x), lambda x: 1.0 + 0.5 * np.cos(9.0 * x), 2**20),
+])
+def test_recovery_invariant_under_tiny_data_scale(a_fn, f_fn, n):
+    # scaling u' and f by a power of two scales every step of the recovery
+    # exactly, so a and C/s keep their bits; the products of neighbouring
+    # values of u' near its zeros would underflow at this scale
+    s = 2.0**-530
+    f = from_fn(f_fn, n)
+    du = solve(from_fn(a_fn, n), f).du
+    ref = recover(du, f, BOUNDS)
+    got = recover(du.with_values(s * du.values), f.with_values(s * f.values), BOUNDS)
+    assert got.a.values.tobytes() == ref.a.values.tobytes()
+    assert got.C / s == ref.C

@@ -1,6 +1,8 @@
 """P1 FEM on the unit square: manufactured solutions, the discrete H^-1
 realization, the per-block stability bound, and Gauss-Newton recovery."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,14 @@ from coeffid.pw2d import (
     recover_pw,
     verify_pw_bound,
 )
+from coeffid.pw2d import _mass_load
 
+import oracles
 from oracles import block_hminus1_dense, poisson_square_series
 
 FULL = Partition2D(1, 1)
 BOUNDS = CoefficientBounds(0.5, 2.0)
+PARTITIONS = [(1, 1), (2, 2), (4, 2), (4, 4)]
 
 
 def const_coeff(c, part=FULL):
@@ -55,6 +60,74 @@ def test_stiffness_symmetric_and_sized():
     assert K.shape == (15 * 15, 15 * 15)
     assert abs(K - K.T).max() == 0.0
     assert K.diagonal().min() > 0.0
+
+
+def random_case(nx, ny, m):
+    """A coefficient with random block constants and a smooth sign-changing
+    source sampled on the mesh."""
+    part = Partition2D(nx, ny)
+    coeffs = np.random.default_rng(10 * nx + ny).uniform(0.5, 2.0, part.n_blocks)
+    f = as_nodal_field(lambda x, y: np.cos(3.0 * x * y) + x - 0.6 + np.sin(5.0 * y), m)
+    return PwConstCoefficient(part, coeffs), f
+
+
+@pytest.mark.parametrize("nx, ny", PARTITIONS)
+def test_stiffness_matches_triangle_assembly(nx, ny):
+    m = 24
+    a, _ = random_case(nx, ny, m)
+    K, _ = build_system(a, 1.0, m)
+    ref = oracles.p1_stiffness(a.coeffs, nx, ny, m)
+    ref.sort_indices()
+    assert np.array_equal(K.indptr, ref.indptr)
+    assert np.array_equal(K.indices, ref.indices)
+    assert np.abs(K.data - ref.data).max() <= 4 * np.spacing(np.abs(ref.data).max())
+
+
+def test_loads_match_mass_product():
+    m = 24
+    _, f = random_case(1, 1, m)
+    want = oracles.p1_mass(m) @ f.ravel()
+    _, load = build_system(const_coeff(1.0), f, m)
+    inner = oracles.p1_interior(m)
+    assert np.abs(load - want[inner]).max() <= 1e-15 * np.abs(want[inner]).max()
+    # a block's load reads only the block's closed nodes: the rows of its
+    # interior nodes in the global product
+    part = Partition2D(4, 2)
+    mx, my = m // part.nx, m // part.ny
+    nodes = np.arange((m + 1) ** 2).reshape(m + 1, m + 1)
+    for blk in range(part.n_blocks):
+        by, bx = divmod(blk, part.nx)
+        rows = nodes[by * my + 1 : by * my + my, bx * mx + 1 : bx * mx + mx].ravel()
+        got = _mass_load(f[by * my : by * my + my + 1, bx * mx : bx * mx + mx + 1], 1.0 / m)
+        assert np.abs(got - want[rows]).max() <= 1e-15 * np.abs(want[rows]).max()
+
+
+@pytest.mark.parametrize("nx, ny", PARTITIONS)
+def test_grad_norm_matches_triangle_energies(nx, ny):
+    m = 24
+    u = np.random.default_rng(nx + 7 * ny).standard_normal((m + 1, m + 1))
+    want = oracles.p1_grad_norm_by_block(u, nx, ny, m)
+    assert np.abs(grad_norm_by_block(u, Partition2D(nx, ny), m) - want).max() <= 1e-13 * want.max()
+
+
+@pytest.mark.parametrize("nx, ny", PARTITIONS)
+def test_grad_norm_of_linear_field_exact(nx, ny):
+    # every leg difference of x + 2y is h or 2h, so each block's energy is an
+    # exact sum: |grad u|^2 = 5 times the block area
+    u = as_nodal_field(lambda x, y: x + 2.0 * y, 64)
+    got = grad_norm_by_block(u, Partition2D(nx, ny), 64)
+    assert np.all(got == math.sqrt(5 * (1.0 / (nx * ny))))
+
+
+@pytest.mark.parametrize("nx, ny", PARTITIONS)
+def test_fem_solve_matches_triangle_system(nx, ny):
+    m = 24
+    a, f = random_case(nx, ny, m)
+    K = oracles.p1_stiffness(a.coeffs, nx, ny, m)
+    load = (oracles.p1_mass(m) @ f.ravel())[oracles.p1_interior(m)]
+    want = np.linalg.solve(K.toarray(), load)
+    got = fem_solve(a, f, m)[1:-1, 1:-1].ravel()
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_center_value_against_series_oracle():
@@ -91,9 +164,9 @@ def test_galerkin_residual_small():
 
 
 def test_transpose_symmetry():
-    # the mesh diagonal maps _G1 onto _G2, so with nx = ny a transpose-
-    # symmetric source and blocks permuted (bx, by) -> (by, bx) give the
-    # transposed field at the discrete level
+    # the SW-NE diagonal maps each cell's lower triangle onto its upper one,
+    # so with nx = ny a transpose-symmetric source and blocks permuted
+    # (bx, by) -> (by, bx) give the transposed field at the discrete level
     part, m = Partition2D(3, 3), 24
     coeffs = np.linspace(0.6, 1.8, part.n_blocks)
     a = PwConstCoefficient(part, coeffs)

@@ -21,18 +21,24 @@ is realized by its discrete Riesz representative on the same mesh. The
 verification report still carries the documented slack factor
 1 + SLACK_COEF/m for the continuum reading.
 
-Every linear solve is a sparse LU factorization (symmetric minimum-degree
-ordering) followed by triangular solves; a factor is reused for every
-right-hand side that shares its matrix. Block H^-1 norms solve on block 0's
-interior 5-point Laplacian: every block of a uniform partition has the same
-one, so one factor serves them all.
+Inside a block the coefficient is one constant, so the stiffness there is
+a_i times the 5-point Laplacian L of the block interior, which the orthonormal
+DST-I diagonalizes. Linear solves condense those interiors: each block is
+split into near-square tiles (the block itself unless it is elongated), the
+unknowns on tile edges form the interface, and its Schur complement
+S(a) = sum_i a_i S_loc is one fixed local complement S_loc, the same for every
+tile, scaled and summed into a fixed sparse pattern. A solve is one sparse LU
+of S(a) and two batched DST-I solves, dense products with the transform
+matrices, over the stack of tile interiors; a factor serves every right-hand
+side that shares its coefficient. Block H^-1 norms read
+sum s_pq^2 / lambda_pq off one DST-I of the block load.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -105,14 +111,91 @@ class PwConstCoefficient:
                    np.asarray(coeffs, dtype=float))
 
 
-def _factor(K: sp.spmatrix):
-    """Sparse LU of a symmetric positive definite stiffness matrix."""
-    return splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+def _dst_basis(n: int) -> tuple:
+    """The orthonormal DST-I matrix of order n - 1, which is symmetric, and the
+    eigenvalues of tridiag(-1, 2, -1) it diagonalizes, in the same order. The
+    phases k k' are reduced mod 2n before scaling, so each angle is rounded
+    below 2 pi, not near pi n."""
+    k = np.arange(1, n)
+    return (math.sqrt(2.0 / n) * np.sin(np.pi * (np.outer(k, k) % (2 * n)) / n),
+            2.0 - 2.0 * np.cos(np.pi * k / n))
 
 
-def _second_difference(k: int) -> sp.spmatrix:
-    """tridiag(-1, 2, -1) of order k, k = 0 included."""
-    return sp.spdiags(np.tile([[-1.0], [2.0], [-1.0]], k), [-1, 0, 1], k, k)
+def _interior_dst(sx: int, sy: int) -> tuple:
+    """(Sy, Sx, lambda) for the (sy-1, sx-1) interior nodes of an sx by sy
+    cell rectangle, a block or a tile: its 5-point Laplacian is
+    L = (Sy x Sx) diag(lambda) (Sy x Sx), so the DST-I of an interior array r
+    is Sy @ r @ Sx. On stacks of tiles up to 127 nodes a side these dense
+    products ran faster than scipy.fft.dstn, whose cost per short transform
+    dominates."""
+    Sx, ex = _dst_basis(sx)
+    Sy, ey = _dst_basis(sy)
+    return Sy, Sx, ey[:, None] + ex
+
+
+def _laplace_solve(r: np.ndarray, dst: tuple) -> np.ndarray:
+    """L^-1 on each tile interior of a stack (..., sy-1, sx-1)."""
+    Sy, Sx, eig = dst
+    return Sy @ ((Sy @ r @ Sx) / eig) @ Sx
+
+
+def _edge_green(dst: tuple) -> np.ndarray:
+    """L^-1 between the interior nodes next to the four edges of a tile, both
+    sides listed bottom, top, left, right, each edge along its axis. An entry
+    is the double sum over modes (q, p) of Sy[j, q] Sx[i, p] Sy[j', q] Sx[i', p]
+    / lambda_qp; along an edge one of j, i is fixed, so each pair of edges is
+    a product of square matrices of the tile's side and the full inverse is
+    never formed."""
+    Sy, Sx, eig = dst
+    W = 1.0 / eig
+    rows, cols = (Sy[0], Sy[-1]), (Sx[0], Sx[-1])
+    hh = [[(Sx * ((r * s) @ W)) @ Sx for s in rows] for r in rows]
+    vv = [[(Sy * (W @ (c * d))) @ Sy for d in cols] for c in cols]
+    hv = [[(Sx * c) @ (W.T * r) @ Sy for c in cols] for r in rows]
+    return np.block([hh[0] + hv[0], hh[1] + hv[1],
+                     [hv[0][0].T, hv[1][0].T] + vv[0], [hv[0][1].T, hv[1][1].T] + vv[1]])
+
+
+def _tile_side(side: int, other: int) -> int:
+    """The divisor of a block side nearest, in ratio, to the other side: the
+    tiles stay near square, so the interface complement stays sparse."""
+    divisors = [d for d in range(1, side + 1) if side % d == 0]
+    return min(divisors, key=lambda d: abs(math.log(d / other)))
+
+
+def _legs(nodes: np.ndarray) -> tuple:
+    """Tail and head of the four legs of every cell of a node grid indexed
+    [iy, ix]: the lower triangle's bottom and right edges, the upper
+    triangle's top and left edges."""
+    sw, se, ne, nw = nodes[:-1, :-1], nodes[:-1, 1:], nodes[1:, 1:], nodes[1:, :-1]
+    return (np.stack([sw, se, ne, nw], axis=-1).ravel(),
+            np.stack([se, ne, nw, sw], axis=-1).ravel())
+
+
+def _local_complement(sx: int, sy: int, dst: tuple) -> tuple:
+    """(S_loc, bx, by): the Schur complement S_loc = A_BB - A_BI L^-1 A_IB of
+    one sx by sy tile's stiffness at a = 1 onto its closed boundary, and the
+    local node coordinates of that boundary in S_loc's order: the bottom, top,
+    left and right edges without corners, then the corners SW, SE, NW, NE.
+    A_IB links each non-corner boundary node to its one interior neighbour
+    with weight -1, so the correction is _edge_green."""
+    span_x, span_y = np.arange(1, sx), np.arange(1, sy)
+    bx = np.concatenate([span_x, span_x, np.zeros(sy - 1, int), np.full(sy - 1, sx),
+                         [0, sx, 0, sx]])
+    by = np.concatenate([np.zeros(sx - 1, int), np.full(sx - 1, sy), span_y, span_y,
+                         [0, 0, sy, sy]])
+    nB = bx.size
+    local = np.full((sy + 1, sx + 1), -1)
+    local[by, bx] = np.arange(nB)
+    tail, head = _legs(local)
+    ends, other = np.concatenate([tail, head]), np.concatenate([head, tail])
+    rows, cols = np.concatenate([ends, ends]), np.concatenate([ends, other])
+    keep = (rows >= 0) & (cols >= 0)
+    weight = np.repeat([0.5, -0.5], ends.size)[keep]
+    S = sp.coo_matrix((weight, (rows[keep], cols[keep])), shape=(nB, nB)).toarray()
+    if sx > 1 and sy > 1:
+        S[:-4, :-4] -= _edge_green(dst)
+    return 0.5 * (S + S.T), bx, by
 
 
 def _mass_load(g: np.ndarray, h: float) -> np.ndarray:
@@ -126,7 +209,9 @@ def _mass_load(g: np.ndarray, h: float) -> np.ndarray:
 
 
 class _Workspace:
-    """The legs of one (nx, ny, m) mesh and the structures derived from them."""
+    """The legs of one (nx, ny, m) mesh and the structures derived from them:
+    the block products, and the static condensation of the tile interiors
+    that every linear solve uses."""
 
     def __init__(self, nx: int, ny: int, m: int):
         if m < 2:
@@ -140,49 +225,120 @@ class _Workspace:
         self.mx, self.my = mx, my = m // nx, m // ny
         nodes = np.arange(nn).reshape(m + 1, m + 1)
         self.interior = inner = nodes[1:-1, 1:-1].ravel()
+        pos = np.full(nn, -1)
+        pos[inner] = np.arange(inner.size)
 
-        # the four legs of the cell with SW corner s: the lower triangle's
-        # bottom and right edges, the upper triangle's top and left edges
-        s = nodes[:-1, :-1].ravel()
-        tail = np.stack([s, s + 1, s + m + 2, s + m + 1], axis=1).ravel()
-        head = np.stack([s + 1, s + m + 2, s + m + 1, s], axis=1).ravel()
+        tail, head = _legs(nodes)
         cy, cx = np.divmod(np.arange(m * m), m)
         leg_block = np.repeat((cy // my) * nx + cx // mx, 4)
-        # a leg of weight a/2 adds a/2 to the diagonal at each interior end
-        # and -a/2 between two interior ends. Per end: its entry (node,
-        # block) of the block products, and its slots in the interior CSR
-        # pattern with the entry of the weights [a/2, -a/2] each takes
-        ends = np.concatenate([tail, head])
-        ends_block = np.tile(leg_block, 2)
-        self._ends = ends * nb + ends_block
-        n = inner.size
-        pos = np.full(nn, -1)
-        pos[inner] = np.arange(n)
-        e, o = pos[ends], pos[np.concatenate([head, tail])]
+        # per leg end, its entry (node, block) of the block products; they
+        # stay wide, as n_nodes * n_blocks can pass 2^31, while int32 halves
+        # what each cached workspace holds of the rest
+        self._ends = np.concatenate([tail, head]) * nb + np.tile(leg_block, 2)
+        self.tail, self.head, self.leg_block = (a.astype(np.int32) for a in (tail, head, leg_block))
+        self.block_dst = _interior_dst(mx, my)
+
+        # tiles of sx by sy cells; a tile's interior is its (sy-1, sx-1)
+        # interior nodes, the interface the interior nodes on tile edges
+        sx, sy = _tile_side(mx, my), _tile_side(my, mx)
+        tx, ty = m // sx, m // sy
+        self.tile_dst = _interior_dst(sx, sy)
+        self._tile_block = (((np.arange(ty) * sy) // my)[:, None] * nx
+                            + (np.arange(tx) * sx) // mx).ravel()
+        tile_nodes = nodes[:-1, :-1].reshape(ty, sy, tx, sx)[:, 1:, :, 1:]
+        tile_nodes = tile_nodes.transpose(0, 2, 1, 3).reshape(tx * ty, sy - 1, sx - 1)
+        self._tile_interior = pos[tile_nodes]
+        iy, ix = np.divmod(inner, m + 1)
+        on_edge = (ix % sx == 0) | (iy % sy == 0)
+        self._gamma = np.flatnonzero(on_edge)
+        n_gamma = self._gamma.size
+        gidx = np.full(nn, -1)
+        gidx[inner[on_edge]] = np.arange(n_gamma)
+        # C[g, t] = 1 when interface node g and stacked tile-interior node t
+        # are axis neighbours: the coupling is -a_i C, a gather and a scatter
+        flat = tile_nodes.ravel()
+        nbr = gidx[flat[:, None] + np.array([1, -1, m + 1, -(m + 1)])]
+        t, d = np.nonzero(nbr >= 0)
+        self._coupling = sp.csr_matrix((np.ones(t.size), (nbr[t, d], t)),
+                                       shape=(n_gamma, flat.size))
+
+        # S(a) = sum over tiles of a_i S_loc restricted to the interface: one
+        # S_loc, and per contribution its entry of S_loc and its slot in the
+        # fixed CSR pattern, grouped by tile
+        if n_gamma:
+            S_loc, bx, by = _local_complement(sx, sy, self.tile_dst)
+            corner = ((np.arange(ty) * sy)[:, None] * (m + 1) + np.arange(tx) * sx).ravel()
+            tile_boundary = gidx[corner[:, None] + by * (m + 1) + bx]
+            r, c = np.nonzero(S_loc)
+            rows, cols = tile_boundary[:, r], tile_boundary[:, c]
+            keep = (rows >= 0) & (cols >= 0)
+            keys, slot = np.unique(rows[keep] * n_gamma + cols[keep], return_inverse=True)
+            self._s_values = S_loc[r, c]
+            self._s_entry = np.nonzero(keep)[1].astype(np.int32)
+            self._s_count = np.count_nonzero(keep, axis=1)
+            self._s_slot = slot.astype(np.int32)
+            self._s_indices = (keys % n_gamma).astype(np.int32)
+            self._s_indptr = np.searchsorted(
+                keys, np.arange(n_gamma + 1) * n_gamma).astype(np.int32)
+
+    @cached_property
+    def _stiffness_pattern(self) -> tuple:
+        """The interior CSR pattern of K, and per entry of the leg weights
+        [a/2, -a/2] its slot: a leg of weight a/2 adds a/2 to the diagonal at
+        each interior end and -a/2 between two interior ends."""
+        n, nb = self.interior.size, self.n_blocks
+        pos = np.full(self.n_nodes, -1)
+        pos[self.interior] = np.arange(n)
+        e = pos[np.concatenate([self.tail, self.head])]
+        o = pos[np.concatenate([self.head, self.tail])]
         rows, cols = np.concatenate([e, e]), np.concatenate([e, o])
         keep = (rows >= 0) & (cols >= 0)
         keys, slot = np.unique((rows * n + cols)[keep], return_inverse=True)
+        ends_block = np.tile(self.leg_block, 2)
         slot_weight = np.concatenate([ends_block, ends_block + nb])[keep]
-        self._indices = (keys % n).astype(np.int32)
-        self._indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
-        # int32 halves what each cached workspace holds; the block-product
-        # entries stay wide, as n_nodes * n_blocks can pass 2^31
-        self.tail, self.head, self.leg_block, self._slot, self._slot_weight = (
-            a.astype(np.int32) for a in (tail, head, leg_block, slot, slot_weight))
-
-        # the stiffness of a = 1 is the 5-point Laplacian; every block of a
-        # uniform partition has block 0's, so one factor serves them all
-        self.block_laplacian = sp.kronsum(
-            _second_difference(mx - 1), _second_difference(my - 1), format="csc")
-        self.block_lu = _factor(self.block_laplacian)
+        return (slot.astype(np.int32), slot_weight.astype(np.int32),
+                (keys % n).astype(np.int32),
+                np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32))
 
     def stiffness(self, coeffs: np.ndarray) -> sp.csr_matrix:
         """K(a) on the interior nodes: the leg weights a/2 summed into the
         fixed pattern."""
+        slot, slot_weight, indices, indptr = self._stiffness_pattern
         half = 0.5 * coeffs
-        data = np.bincount(self._slot, weights=np.concatenate([half, -half])[self._slot_weight],
-                           minlength=self._indices.size)
-        return sp.csr_matrix((data, self._indices, self._indptr), shape=(self.interior.size,) * 2)
+        data = np.bincount(slot, weights=np.concatenate([half, -half])[slot_weight],
+                           minlength=indices.size)
+        return sp.csr_matrix((data, indices, indptr), shape=(self.interior.size,) * 2)
+
+    def solver(self, coeffs: np.ndarray):
+        """K(a)^-1 as a function of interior right-hand sides, one vector or
+        one per column. It factors S(a) once; each call solves L on the tile
+        interiors (y = L^-1 b_I, independent of a), the interface from
+        S(a) u_G = b_G + C y, and the interiors u_I = y/a_i + L^-1 C^T u_G."""
+        a_tile = coeffs[self._tile_block]
+        n_gamma = self._gamma.size
+        solve_interface = np.asarray  # no interface: a single tile
+        if n_gamma:
+            weights = np.repeat(a_tile, self._s_count) * self._s_values[self._s_entry]
+            data = np.bincount(self._s_slot, weights=weights, minlength=self._s_indices.size)
+            # S(a) is symmetric, so its CSR arrays are its CSC arrays
+            S = sp.csc_matrix((data, self._s_indices, self._s_indptr), shape=(n_gamma, n_gamma))
+            solve_interface = splu(S, permc_spec="MMD_AT_PLUS_A",
+                                   options={"SymmetricMode": True}).solve
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            # one right-hand side per row of rhs.T: every stack is
+            # (..., tile, sy-1, sx-1) and the factor sees Fortran columns
+            rhs = rhs.T
+            y = _laplace_solve(rhs[..., self._tile_interior], self.tile_dst)
+            g = rhs[..., self._gamma] + (self._coupling @ y.reshape(rhs.shape[:-1] + (-1,)).T).T
+            u = np.empty_like(rhs)
+            u[..., self._gamma] = u_gamma = solve_interface(g.T).T
+            y /= a_tile[:, None, None]
+            y += _laplace_solve((self._coupling.T @ u_gamma.T).T.reshape(y.shape), self.tile_dst)
+            u[..., self._tile_interior] = y
+            return u.T
+
+        return solve
 
     def block_products(self, x: np.ndarray) -> np.ndarray:
         """The interior columns K_i x, one per block, for interior values x
@@ -232,9 +388,10 @@ def build_system(a: PwConstCoefficient, f, m: int) -> tuple:
 def fem_solve(a: PwConstCoefficient, f, m: int) -> np.ndarray:
     """P1 Galerkin solution with homogeneous Dirichlet data, returned as an
     (m+1, m+1) nodal array (zeros on the boundary)."""
-    K, load = build_system(a, f, m)
+    ws = _workspace(a.partition.nx, a.partition.ny, m)
     u = np.zeros((m + 1, m + 1))
-    u[1:-1, 1:-1] = _factor(K).solve(load).reshape(m - 1, m - 1)
+    load = _mass_load(as_nodal_field(f, m), 1.0 / m)
+    u[1:-1, 1:-1] = ws.solver(a.coeffs)(load).reshape(m - 1, m - 1)
     return u
 
 
@@ -251,17 +408,18 @@ def grad_norm_by_block(u: np.ndarray, partition: Partition2D, m: int) -> np.ndar
 
 
 def hminus1_norm(f, partition: Partition2D, block: int, m: int) -> float:
-    """Discrete H^-1 norm of f on one block: solve -Lap w = f with zero data
-    on the block boundary and return |grad w|_{L2(block)}. Every block of a
-    uniform partition shares block 0's interior 5-point Laplacian, which the
-    workspace factors once."""
+    """Discrete H^-1 norm of f on one block: |grad w|_{L2(block)} for the
+    solution w of -Lap w = f with zero data on the block boundary. With the
+    block load s and the block's interior 5-point Laplacian L = Q diag(lambda) Q
+    (Q the orthonormal DST-I), |grad w|^2 = s . L^-1 s = sum (Q s)^2 / lambda."""
     if not 0 <= block < partition.n_blocks:
         raise ValueError(f"block must lie in [0, {partition.n_blocks})")
     ws = _workspace(partition.nx, partition.ny, m)
     by, bx = divmod(block, partition.nx)
     sub = as_nodal_field(f, m)[by * ws.my : (by + 1) * ws.my + 1, bx * ws.mx : (bx + 1) * ws.mx + 1]
-    w = ws.block_lu.solve(_mass_load(sub, 1.0 / m))
-    return float(math.sqrt(max(w @ (ws.block_laplacian @ w), 0.0)))
+    Sy, Sx, eig = ws.block_dst
+    hat = Sy @ _mass_load(sub, 1.0 / m).reshape(eig.shape) @ Sx
+    return float(math.sqrt((hat * hat / eig).sum()))
 
 
 def verify_pw_bound(
@@ -336,12 +494,12 @@ def recover_pw(
     The start is the equation-error solution: sum_i a_i K_i u = b is linear in
     a, so a least-squares fit with u = u_meas, clipped to [lam, Lam], recovers
     exact data outright. Projected Gauss-Newton steps on the output misfit
-    then keep the result stable under noise. Each step factors K(a) once and
-    reads the state and all block sensitivities -K^{-1} K_i u off that factor;
-    a step that raises the misfit is halved. Steps stop, converged, when the
-    misfit falls by at most SWEEP_TOL relative to its value or the step is
-    below 1e-12; after MAX_SWEEPS steps the result carries a warning. The data
-    decide identifiability: when the equation-error matrix [K_i u] is rank
+    then keep the result stable under noise. Each step factors the interface
+    complement S(a) once and reads the state and all block sensitivities
+    -K^{-1} K_i u off that factor; a step that raises the misfit is halved.
+    Steps stop, converged, when the misfit falls by at most SWEEP_TOL
+    relative to its value or the step is below 1e-12; after MAX_SWEEPS steps
+    the result carries a warning. The data decide identifiability: when the equation-error matrix [K_i u] is rank
     deficient (smallest singular value at most 1e-12 times the largest, or
     the matrix is zero), some block's column lies in the span of the others
     and its constant is not determined; the result then holds midpoint
@@ -372,12 +530,12 @@ def recover_pw(
     def linearize(c: np.ndarray):
         """Misfit J(c) with its Gauss-Newton gradient and normal matrix, from
         one factorization: column 0 of Z is u(c) - u_meas, the rest du/dc_i."""
-        lu = _factor(ws.stiffness(c))
-        x = lu.solve(b_int)
+        solve = ws.solver(c)
+        x = solve(b_int)
         Z = np.zeros((ws.n_nodes, nb + 1))
         Z[:, 0] = -u_flat
         Z[inner, 0] += x
-        Z[inner, 1:] = -lu.solve(ws.block_products(x))
+        Z[inner, 1:] = -solve(ws.block_products(x))
         D = Z[ws.tail] - Z[ws.head]
         gram = 0.5 * (D.T @ D)
         return max(gram[0, 0], 0.0), gram[1:, 0], gram[1:, 1:]

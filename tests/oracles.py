@@ -8,7 +8,10 @@ oracles render one element at a time, with no column formatting or memo.
 The P1 triangle assembly is the 2D FEM written out per triangle: local
 stiffness and mass matrices scattered over each cell's two triangles, the
 stiffness summed over per-block matrices, with none of the leg arrays of
-coeffid.pw2d. The band measure is the per-cell overlap sum, one band per call, with none of
+coeffid.pw2d; its systems are solved by sparse LU of the whole stiffness
+matrix, and block H^-1 norms by sparse LU of the block's 5-point Laplacian,
+with none of the interface condensation or sine transforms of coeffid.pw2d.
+The band measure is the per-cell overlap sum, one band per call, with none of
 the sorting and counting of coeffid.stability.k_rho_measure. The 1D
 flux-identity kernels are written out with a fresh array for every step, a
 boolean gather and scatter for the unmasked nodes, and every dyadic scale
@@ -22,6 +25,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_banded
+from scipy.sparse.linalg import splu
 
 from coeffid.grids import GridFunction1D, fmt_float
 from coeffid.stability import _bump, _bump_derivative
@@ -194,6 +198,44 @@ def p1_mass(m: int) -> sp.csr_matrix:
     tri, _ = p1_triangles(1, 1, m)
     h = 1.0 / m
     return p1_assemble(tri, np.stack([_P1_MASS, _P1_MASS]) * (0.5 * h * h), (m + 1) ** 2)
+
+
+def lu_solve(K: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
+    """K^-1 rhs by sparse LU of the whole matrix, one vector or one per column."""
+    return splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}).solve(rhs)
+
+
+def p1_fem_solve(coeffs, f: np.ndarray, nx: int, ny: int, m: int) -> np.ndarray:
+    """The interior values of the P1 solution for a nodal source f: sparse LU
+    of the triangle-assembled stiffness, the load from the mass matrix."""
+    load = (p1_mass(m) @ np.asarray(f, dtype=float).ravel())[p1_interior(m)]
+    return lu_solve(p1_stiffness(coeffs, nx, ny, m), load)
+
+
+def second_difference(k: int) -> sp.spmatrix:
+    """tridiag(-1, 2, -1) of order k."""
+    return sp.spdiags(np.tile([[-1.0], [2.0], [-1.0]], k), [-1, 0, 1], k, k)
+
+
+def block_hminus1_lu(f: np.ndarray, nx: int, ny: int, m: int) -> np.ndarray:
+    """Discrete H^-1 norm of a nodal source on every block: w solves the
+    block's interior 5-point Laplacian (a Kronecker sum of second
+    differences, factored by sparse LU) against the rows of the global mass
+    product at the block's interior nodes, and the norm is sqrt(w . L w). A
+    block with no interior node has norm 0."""
+    mx, my = m // nx, m // ny
+    if mx < 2 or my < 2:
+        return np.zeros(nx * ny)
+    nodes = np.arange((m + 1) ** 2).reshape(m + 1, m + 1)
+    load = p1_mass(m) @ np.asarray(f, dtype=float).ravel()
+    L = sp.kronsum(second_difference(mx - 1), second_difference(my - 1), format="csc")
+    out = []
+    for block in range(nx * ny):
+        by, bx = divmod(block, nx)
+        rows = nodes[by * my + 1 : (by + 1) * my, bx * mx + 1 : (bx + 1) * mx].ravel()
+        w = lu_solve(L, load[rows])
+        out.append(np.sqrt(w @ (L @ w)))
+    return np.array(out)
 
 
 def p1_grad_norm_by_block(u: np.ndarray, nx: int, ny: int, m: int) -> np.ndarray:

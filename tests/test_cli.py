@@ -608,15 +608,15 @@ _PINNED_DIGESTS = {
         "manifest.json": "77b2726271f45950",
     }),
     "pw2d verify": (0, {
-        "manifest.json": "7fdc7917f33a63c8",
-        "pw2d_verify.csv": "327ceb9d1e0d0e3e",
-        "pw2d_verify.json": "174881044059623a",
+        "manifest.json": "757ae8bd8c61209e",
+        "pw2d_verify.csv": "a2e79bc920032600",
+        "pw2d_verify.json": "d8ae2c2009b946af",
     }),
     "pw2d recover": (0, {
-        "manifest.json": "b403eeae96a89ebf",
-        "pw2d_recover.csv": "9953a87256635866",
-        "pw2d_recover.json": "7e593787e05b691a",
-        "u_meas.json": "05ead50695e26699",
+        "manifest.json": "e14a632226df9ad2",
+        "pw2d_recover.csv": "49f1e987480fe213",
+        "pw2d_recover.json": "71d81281bcc20cd8",
+        "u_meas.json": "9db0584541c120ee",
     }),
 }
 

@@ -19,7 +19,7 @@ from coeffid.pw2d import (
     recover_pw,
     verify_pw_bound,
 )
-from coeffid.pw2d import _mass_load
+from coeffid.pw2d import _mass_load, _workspace
 
 import oracles
 from oracles import block_hminus1_dense, poisson_square_series
@@ -27,6 +27,12 @@ from oracles import block_hminus1_dense, poisson_square_series
 FULL = Partition2D(1, 1)
 BOUNDS = CoefficientBounds(0.5, 2.0)
 PARTITIONS = [(1, 1), (2, 2), (4, 2), (4, 4)]
+# (nx, ny, m) for the LU oracle: no interface (1x1), square and non-square
+# blocks, tiles wider than tall and taller than wide (3x2 and 2x3 at m = 12),
+# blocks one cell wide with no interior (4x4 at m = 4), elongated blocks split
+# into tiles (1x4 at m = 8, 1x8 at m = 24), and many small blocks
+ORACLE_CASES = [(1, 1, 9), (2, 2, 8), (4, 2, 8), (3, 3, 9), (3, 2, 12), (2, 3, 12), (4, 4, 4),
+                (1, 4, 8), (1, 8, 24), (16, 16, 64)]
 
 
 def const_coeff(c, part=FULL):
@@ -128,6 +134,44 @@ def test_fem_solve_matches_triangle_system(nx, ny):
     want = np.linalg.solve(K.toarray(), load)
     got = fem_solve(a, f, m)[1:-1, 1:-1].ravel()
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("nx, ny, m", ORACLE_CASES)
+def test_fem_solve_matches_lu_oracle(nx, ny, m):
+    a, f = random_case(nx, ny, m)
+    want = oracles.p1_fem_solve(a.coeffs, f, nx, ny, m)
+    got = fem_solve(a, f, m)
+    assert np.all(got[[0, -1], :] == 0.0) and np.all(got[:, [0, -1]] == 0.0)
+    assert np.abs(got[1:-1, 1:-1].ravel() - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("nx, ny, m", ORACLE_CASES)
+def test_solver_columns_match_lu_oracle(nx, ny, m):
+    # the Gauss-Newton path: one factor, several right-hand sides at once
+    a, _ = random_case(nx, ny, m)
+    rhs = np.random.default_rng(m).standard_normal(((m - 1) ** 2, 3))
+    want = oracles.lu_solve(oracles.p1_stiffness(a.coeffs, nx, ny, m), rhs)
+    got = _workspace(nx, ny, m).solver(a.coeffs)(rhs)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("nx, ny, m", ORACLE_CASES)
+def test_hminus1_matches_lu_oracle(nx, ny, m):
+    _, f = random_case(nx, ny, m)
+    part = Partition2D(nx, ny)
+    want = oracles.block_hminus1_lu(f, nx, ny, m)
+    got = np.array([hminus1_norm(f, part, i, m) for i in range(part.n_blocks)])
+    assert np.abs(got - want).max() <= 1e-10 * want.max()
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 32), (32, 1), (4, 4)])
+def test_interface_complement_stays_sparse(nx, ny):
+    # a 64 x 2 cell block condensed whole would couple its 132 boundary nodes
+    # densely; split into 2 x 2 tiles, S(a) holds a few times K's entries
+    m = 64
+    K, _ = build_system(const_coeff(1.0, Partition2D(nx, ny)), 1.0, m)
+    assert _workspace(nx, ny, m)._s_slot.size <= 4 * K.nnz
 
 
 def test_center_value_against_series_oracle():
@@ -271,6 +315,7 @@ def test_recover_roundtrip_2x2():
     u_meas = fem_solve(truth, 1.0, 32)
     res = recover_pw(u_meas, 1.0, part, BOUNDS, 32)
     assert res.converged
+    assert res.sweeps == 1
     assert np.abs(res.coeff.coeffs - truth.coeffs).max() < 1e-3
 
 
@@ -292,6 +337,7 @@ def test_recover_noisy_data_error_near_noise_level():
     u_noisy = u * (1.0 + 1e-3 * z / np.sqrt(np.mean(z * z)))
     res = recover_pw(u_noisy, 1.0, part, BOUNDS, m)
     assert res.converged
+    assert res.sweeps == 4
     assert res.coeff.admissible(BOUNDS)
     assert np.abs(res.coeff.coeffs - truth.coeffs).max() <= 1e-2
 
@@ -304,6 +350,7 @@ def test_recover_truth_on_lower_bound_stays_admissible():
     z = np.random.default_rng(7).standard_normal(u.shape)
     res = recover_pw(u * (1.0 + 1e-3 * z), 1.0, part, BOUNDS, m)
     assert res.converged
+    assert res.sweeps == 4
     assert res.coeff.admissible(BOUNDS)
     assert np.abs(res.coeff.coeffs - truth.coeffs).max() <= 1e-2
 
@@ -313,6 +360,7 @@ def test_recover_constant_truth_snaps_immediately():
     u_meas = fem_solve(truth, 1.0, 16)
     res = recover_pw(u_meas, 1.0, truth.partition, BOUNDS, 16)
     assert res.converged
+    assert res.sweeps == 1
     assert np.abs(res.coeff.coeffs - 1.0).max() < 1e-3
 
 
@@ -334,6 +382,7 @@ def test_recover_source_vanishing_on_blocks():
     assert hminus1_norm(f, part, 1, m) == 0.0 and hminus1_norm(f, part, 3, m) == 0.0
     res = recover_pw(fem_solve(truth, f, m), f, part, BOUNDS, m)
     assert res.converged
+    assert res.sweeps == 1
     assert res.warning is None
     assert np.abs(res.coeff.coeffs - truth.coeffs).max() < 1e-8
 

@@ -92,14 +92,14 @@ def _emit(args, report: ExperimentReport, extra: dict) -> None:
         print(report.to_json())
         return
     stem = "_".join(filter(None, (args.command, getattr(args, "kind", None))))
-    # one memo for every file of the run: each float column is formatted once
+    # one memo for the JSON files of the run: each float column is rendered once
     memo: dict = {}
 
     def render():
         if args.fmt in ("json", "both"):
             yield f"{stem}.json", report.to_json(memo)
         if args.fmt in ("csv", "both") and report.curves:
-            yield f"{stem}.csv", report.curves_csv(memo)
+            yield f"{stem}.csv", report.curves_csv()
         for name, obj in extra.items():
             yield name, canonical_json(obj, memo)
 
@@ -470,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     pverify.add_argument("--trials", type=int, default=10)
     pverify.add_argument("--lambda", dest="lam", type=float, default=0.5)
     pverify.add_argument("--Lambda", dest="Lam", type=float, default=2.0)
-    pverify.add_argument("--seed", type=int, default=None, help="rng seed for the random pairs")
+    pverify.add_argument("--seed", type=int, default=0,
+                         help="rng seed for the random pairs (default 0, so reruns match)")
     _add_common(pverify)
     pverify.set_defaults(run=_cmd_pw2d_verify)
     precover = psub.add_parser(
@@ -488,6 +489,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# line breaks (those str.splitlines knows) escaped, so a message that echoes
+# a path or literal stays on one stderr line
+_ESCAPE_BREAKS = {c: repr(chr(c))[1:-1] for c in (0x0a, 0x0b, 0x0c, 0x0d, 0x1c, 0x1d,
+                                                   0x1e, 0x85, 0x2028, 0x2029)}
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     if argv is None:
@@ -497,10 +504,10 @@ def main(argv=None) -> int:
         rep, extra = args.run(args)
         _emit(args, rep, extra)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc).translate(_ESCAPE_BREAKS)}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
+        print(f"verification failure: {str(exc).translate(_ESCAPE_BREAKS)}", file=sys.stderr)
         return 1
     return 0 if rep.passed else 1
 

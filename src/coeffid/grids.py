@@ -9,13 +9,17 @@ ground truth throughout.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 import math
+import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from . import text
 
 __all__ = [
     "Interval",
@@ -32,10 +36,6 @@ __all__ = [
 def fmt_float(x: float) -> str:
     """Render a float at 17 significant digits (lossless decimal round-trip)."""
     return f"{float(x):.17g}"
-
-
-# rows per write in GridFunction1D.to_csv
-_CSV_CHUNK = 4096
 
 
 def json_fields(d, keys: tuple) -> list:
@@ -60,11 +60,13 @@ def json_count(v, name: str) -> int:
 
 def read_json(path, from_dict):
     """from_dict of the JSON value in path. A malformed file raises ValueError
-    naming it; a TypeError there means a field of the wrong JSON type."""
+    naming it: a TypeError there means a field of the wrong JSON type, an
+    OverflowError an integer beyond float range, a RecursionError nesting
+    too deep to decode."""
     p = Path(path)
     try:
         return from_dict(json.loads(p.read_text()))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ValueError(f"{p}: {exc}") from None
 
 
@@ -187,45 +189,66 @@ class GridFunction1D:
 
     def to_csv(self, path) -> None:
         """Write an 'x,value' header and one row per node at 17 significant
-        digits, in the bytes csv.writer gives (CRLF line ends), a chunk of
-        rows per write."""
-        rows = np.column_stack((self.x, self.values))
-        with open(path, "w", newline="") as fh:
-            fh.write("x,value\r\n")
-            for i in range(0, len(rows), _CSV_CHUNK):
-                chunk = rows[i:i + _CSV_CHUNK]
-                fh.write(("%.17g,%.17g\r\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
+        digits, in the bytes csv.writer gives (CRLF line ends), rendered by
+        coeffid.text one chunk of rows per write."""
+        with open(path, "wb") as fh:
+            fh.write(b"x,value\r\n")
+            for rows in text.iter_rows((self.x, self.values), end=b"\r\n"):
+                fh.write(rows)
 
     @classmethod
     def from_csv(cls, path) -> "GridFunction1D":
-        xs, vs = [], []
-        with open(path, newline="") as fh:
-            r = csv.reader(fh)
-            header = next(r, [])
-            if [c.strip() for c in header] != ["x", "value"]:
-                raise ValueError(f"expected 'x,value' header in {path}")
-            try:
-                for row in r:
-                    if len(row) == 2:
-                        xs.append(float(row[0]))
-                        vs.append(float(row[1]))
-                    elif row:
-                        raise ValueError(f"expected 2 fields (x,value), got {len(row)}")
-            except ValueError as exc:
-                raise ValueError(f"{path} line {r.line_num}: {exc}") from None
-        if len(xs) < 2:
+        """Read what to_csv writes: an 'x,value' header, then an 'x,value' row
+        per node of a uniform grid, parsed by np.loadtxt. Quoted fields, blank
+        lines and CRLF line ends are accepted. Anything else (comment lines,
+        trailing commas, rows of one or three fields, text that is not a
+        number) raises ValueError naming the file and, where the parser
+        points at a row, its line."""
+        try:
+            with open(path, newline="") as fh:
+                if [c.strip(' \t\r\n"') for c in fh.readline().split(",")] != ["x", "value"]:
+                    raise ValueError("expected 'x,value' header")
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # loadtxt warns when no row follows
+                    rows = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
+                                      ndmin=2)
+        except ValueError as exc:
+            raise ValueError(_csv_error(path, exc)) from None
+        if len(rows) < 2:
             raise ValueError(f"not enough rows in {path}")
+        if rows.shape[1] != 2:
+            raise ValueError(f"{path}: expected 2 fields (x,value) per row, got {rows.shape[1]}")
         # the grid is uniform, so x must match its nodes to rounding
-        x = np.asarray(xs)
+        x = rows[:, 0]
         n = x.size - 1
         dev = float(np.abs(x - np.linspace(x[0], x[-1], n + 1)).max())
         if not dev <= 4 * n * np.spacing(max(abs(x[0]), abs(x[-1]))):
             raise ValueError(f"x column in {path} is not uniformly spaced "
                              f"(deviates by {dev:.3g} from a uniform grid)")
         try:
-            return cls(Interval(xs[0], xs[-1]), np.asarray(vs))
+            return cls(Interval(float(x[0]), float(x[-1])), rows[:, 1])
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+
+
+# np.loadtxt's pointer to a data row: 0-based in conversion errors (which name
+# a column), 1-based in column-count errors; blank lines are not rows
+_LOADTXT_ROW = re.compile(r" at row (\d+)(, column \d+)?")
+
+
+def _csv_error(path, exc: ValueError) -> str:
+    """exc, raised reading the CSV file path, as one line naming the file
+    and the 1-based line of the data row np.loadtxt points at."""
+    msg = str(exc)
+    at = _LOADTXT_ROW.search(msg)
+    if at is None:
+        return f"{path}: {msg}"
+    row = int(at[1]) - (at[2] is None)
+    with open(path, newline="", errors="replace") as fh:
+        next(fh, None)  # the header
+        rows = (i for i, line in enumerate(fh, 2) if line.strip("\r\n"))
+        line = next(itertools.islice(rows, row, None), "?")
+    return f"{path} line {line}: {msg[:at.start()]}"
 
 
 def require_same_grid(a: GridFunction1D, b: GridFunction1D) -> None:

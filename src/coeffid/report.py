@@ -5,12 +5,12 @@ canonical: keys keep insertion order, floats are rendered at 17 significant
 digits, and no timestamps or environment data are embedded, so identical
 inputs produce identical bytes.
 
-Float columns are formatted once per CLI run. A 1-D float64 array renders as
-a column of "%.17g" strings (fmt_float of each value), kept in a memo keyed
-by the array's identity, and the JSON report, the CSV curves and the extra
-files of one run share that memo, so a curve written to three files is
-formatted once. The memo keeps each column as a few ", "-joined chunks rather
-than one string per value, which holds a quarter of the memory.
+Float columns are rendered by coeffid.text, which gives the bytes of
+"%.17g" for a whole array at a time. A 1-D float64 array renders once per
+memo as its ", "-joined text, keyed by the array's identity, so the JSON
+report and the extra files of one CLI run share it: a curve written to
+three files is formatted twice, once here and once as CSV rows, which
+coeffid.text renders straight from the columns.
 """
 
 from __future__ import annotations
@@ -21,27 +21,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import text
 from .grids import fmt_float
 
 __all__ = ["ExperimentReport", "canonical_json"]
 
-# values per chunk of a formatted column, formatted by one % template
-_CHUNK = 4096
-_CHUNK_FMT = ", ".join(["%.17g"] * _CHUNK)
-
-
-def _float_column(arr: np.ndarray, memo: dict) -> list:
-    """The values of a 1-D float64 array as "%.17g" strings joined by ", " in
-    chunks of _CHUNK values, formatted once per memo. The memo holds the array
-    as well, so its id is not reused while the memo lives."""
+def _float_column(arr: np.ndarray, memo: dict) -> str:
+    """The values of a 1-D float64 array as "%.17g" text joined by ", ",
+    rendered once per memo. The memo holds the array as well, so its id is
+    not reused while the memo lives."""
     hit = memo.get(id(arr))
     if hit is None:
-        chunks = []
-        for i in range(0, arr.size, _CHUNK):
-            part = tuple(arr[i:i + _CHUNK].tolist())
-            fmt = _CHUNK_FMT if len(part) == _CHUNK else ", ".join(["%.17g"] * len(part))
-            chunks.append(fmt % part)
-        hit = memo[id(arr)] = (arr, chunks)
+        hit = memo[id(arr)] = (arr, text.join(arr).decode())
     return hit[1]
 
 
@@ -51,7 +42,7 @@ def _is_float_column(obj) -> bool:
 
 def _render(obj, out: list, memo: dict) -> None:
     if _is_float_column(obj) and np.isfinite(obj).all():
-        out += ("[", ", ".join(_float_column(obj, memo)), "]")
+        out += ("[", _float_column(obj, memo), "]")
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "iu":
         out += ("[", ", ".join(map(str, obj.tolist())), "]")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -125,17 +116,13 @@ class ExperimentReport:
     def curves_csv(self, memo: dict | None = None) -> str:
         """The curves as CSV: a header of curve names, then one row per index
         with every value at 17 significant digits (bools as 1/0, non-finite
-        values as inf/nan)."""
+        values as inf/nan). The rows are rendered straight from the columns,
+        which costs less than splitting memoised JSON text, so memo is not
+        read; it is taken for the same call shape as to_json."""
         if not self.curves:
             return ""
-        memo = {} if memo is None else memo
-        arrs = [c if _is_float_column(c) else np.asarray(c, dtype=float).ravel()
-                for c in self.curves.values()]
-        if any(a.size != arrs[0].size for a in arrs):
+        cols = [np.asarray(c, dtype=float).ravel() for c in self.curves.values()]
+        if any(c.size != cols[0].size for c in cols):
             raise ValueError("curve columns must have equal length")
-        parts = [",".join(self.curves)]
-        # the columns' chunks line up, so rows are built one chunk at a time
-        for chunks in zip(*(_float_column(a, memo) for a in arrs)):
-            parts.append("\n".join(map(",".join, zip(*(c.split(", ") for c in chunks)))))
-        parts.append("")
-        return "\n".join(parts)
+        return "".join([",".join(self.curves), "\n",
+                        *(rows.decode() for rows in text.iter_rows(cols))])

@@ -164,6 +164,18 @@ def test_seeded_reports_byte_identical(tmp_path):
     assert (out1 / "pw2d_verify.csv").read_bytes() == (out2 / "pw2d_verify.csv").read_bytes()
 
 
+def test_seedless_verify_reruns_byte_identical(tmp_path):
+    args = ["pw2d", "verify", "--nx", "1", "--ny", "1", "--m", "16", "--trials", "2"]
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    assert run(args + ["--out", str(out1)]) == 0
+    assert run(args + ["--out", str(out2)]) == 0
+    files = sorted(p.name for p in out1.iterdir())
+    assert files == sorted(p.name for p in out2.iterdir())
+    for name in files:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert json.loads((out1 / "manifest.json").read_text())["seed"] == 0
+
+
 def test_manifest_checksums(tmp_path):
     out = tmp_path / "m"
     assert run(["forward", "--a", "const:1", "--f", "const:1", "--n", "64",

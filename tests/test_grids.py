@@ -198,6 +198,14 @@ def test_csv_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(back.values, g.values)
 
 
+def test_csv_roundtrip_bit_exact_across_magnitudes(tmp_path):
+    # np.loadtxt parses each field to the double float() gives
+    values = np.random.default_rng(4).standard_normal(257) * 10.0 ** np.arange(-128, 129)
+    g = gf(values)
+    g.to_csv(tmp_path / "g.csv")
+    assert GridFunction1D.from_csv(tmp_path / "g.csv").values.tobytes() == g.values.tobytes()
+
+
 @settings(max_examples=50)
 @given(grid_values)
 def test_json_roundtrip_bit_exact(vals):
@@ -228,3 +236,41 @@ def test_csv_accepts_decimal_uniform_x(tmp_path):
     assert g.interval == UNIT
     assert g.n == 10
     assert np.array_equal(g.values, np.arange(11.0))
+
+
+@pytest.mark.parametrize("body", [
+    'x,value\n"0","1"\n0.5,"2"\n1,3\n',           # quoted fields
+    "x,value\n\n0,1\n\n0.5,2\n1,3\n\n",           # blank lines
+    "x,value\r\n0,1\r\n0.5,2\r\n1,3\r\n",         # CRLF line ends
+    '"x","value"\n 0 , 1 \n0.5,2\n1,3',           # quoted header, spaces, no final newline
+])
+def test_csv_accepts_quotes_blank_lines_and_crlf(tmp_path, body):
+    p = tmp_path / "g.csv"
+    p.write_bytes(body.encode())
+    g = GridFunction1D.from_csv(p)
+    assert g.interval == UNIT
+    assert np.array_equal(g.values, [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("body, line", [
+    ("x,value\n0,1\n# note\n0.5,2\n1,3\n", 3),     # comment lines are not skipped
+    ("x,value\n0,1\n0.5,2 # note\n1,3\n", 3),
+    ("x,value\n0,1,\n0.5,2,\n1,3,\n", 2),         # trailing commas
+    ("x,value\n0,1\n\n0.5\n1,3\n", 4),            # a 1-field row after a blank line
+    ("x,value\n0,1\n0.5,2,9\n1,3\n", 3),          # a 3-field row
+    ("x,value\r\n0,1\r\n\r\n0.5,abc\r\n1,3\r\n", 4),
+])
+def test_csv_rejects_malformed_rows_naming_line(tmp_path, body, line):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(body.encode())
+    with pytest.raises(ValueError) as exc:
+        GridFunction1D.from_csv(p)
+    assert str(exc.value).startswith(f"{p} line {line}: ")
+
+
+@pytest.mark.parametrize("body", ["x,value\n0\n0.5\n1\n", "x,value\n0,1,9\n0.5,1,9\n1,1,9\n"])
+def test_csv_rejects_uniform_rows_of_one_or_three_fields(tmp_path, body):
+    p = tmp_path / "bad.csv"
+    p.write_text(body)
+    with pytest.raises(ValueError, match="expected 2 fields"):
+        GridFunction1D.from_csv(p)

@@ -1,4 +1,8 @@
-"""Column rendering in coeffid.report against the element-by-element oracles."""
+"""Column rendering in coeffid.report against the element-by-element oracles,
+and coeffid.text against "%.17g"."""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
+from coeffid import text
 from coeffid.grids import GridFunction1D, Interval
 from coeffid.report import ExperimentReport, canonical_json
 
@@ -88,3 +93,47 @@ def test_csv_writers_match_oracles_across_chunks(tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     curves = {"x": g.x, "value": g.values, "sign": g.values > 0, "k": np.arange(values.size)}
     assert ExperimentReport(name="r", curves=curves).curves_csv() == oracles.curves_csv(curves)
+
+
+def _load_sweep():
+    """scripts/float_text_sweep.py, the sweep CI also runs at 10^6 doubles."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "float_text_sweep.py"
+    spec = importlib.util.spec_from_file_location("float_text_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+sweep = _load_sweep()
+
+
+@pytest.mark.parametrize("group, values", sweep.sweep_values(10**5).items())
+def test_sweep_matches_percent_17g(group, values):
+    # random bit patterns, powers of ten and their neighbours, subnormals,
+    # +-0, integers near 2^53, exact ties, linspace: the bytes of "%.17g"
+    assert sweep.mismatches(values) == []
+
+
+def test_only_uncertified_values_are_formatted_per_element():
+    # ordinary data never takes the per-element path
+    assert sweep.uncertified(np.linspace(0.0, 1.0, 65537)) == 0
+    assert sweep.uncertified(np.random.default_rng(1).uniform(0.0, 3.0, 10**5)) == 0
+    # exact 17-digit ties below 1e-6 are scaled inexactly, so they are not
+    # certified; the per-element path renders them
+    ties = sweep.exact_ties(np.random.default_rng(2), per_scale=50)
+    assert sweep.uncertified(ties) == np.count_nonzero(ties < 1e-6) > 0
+    assert sweep.mismatches(ties) == []
+
+
+def test_uncertified_values_are_written_by_percent_17g(monkeypatch):
+    # whatever digits the vectorised path holds for a value it cannot
+    # certify, the value's slot ends up holding "%.17g" % v
+    decimal = text._decimal
+
+    def garbled(a):
+        D, X, certified = decimal(a)
+        return np.full_like(D, 10**16), X - 3, np.zeros_like(certified)
+
+    monkeypatch.setattr(text, "_decimal", garbled)
+    values = np.concatenate([SPECIAL, NONFINITE, np.random.default_rng(3).standard_normal(50)])
+    assert sweep.mismatches(values) == []

@@ -4,8 +4,8 @@ files, against CPython's "%.17g" on a sweep of doubles.
 
 The sweep holds N random bit patterns (the finite ones), every power of ten
 from 1e-323 to 1e308 with both neighbours, subnormals, +-0, the integers
-near 2^53, odd * 2^-s values whose 17-digit rounding is an exact tie, and
-np.linspace(0, 1, 65537). Each value must render to the bytes of
+near 2^53, odd * 2^-s values whose 17-digit rounding is an exact tie, doubles
+within 1e-15 of such a tie, and np.linspace(0, 1, 65537). Each value must render to the bytes of
 "%.17g" % v, in a ", "-joined array and in two-column CSV rows. The script
 prints the number of values and of uncertified ones (formatted by "%.17g"
 itself) and exits 1 on any mismatch. The reference is the "%.17g" of the
@@ -21,6 +21,22 @@ import sys
 import numpy as np
 
 from coeffid import text
+
+
+# doubles whose 17-digit scaled value lies within 1e-15 of a half-integer
+# without being one (found by a lattice search over binary and decimal
+# exponents): the double-double scaling rounds each of them the wrong way, so
+# the kernel must leave them uncertified and format them by "%.17g"
+NEAR_TIES = tuple(float.fromhex(h) for h in (
+    "0x1.a999ddec72acap+599", "0x1.90529a37b7e22p+924", "0x1.1b96458445d07p-346",
+    "0x1.f20399a0ecbc2p+391", "0x1.43c9879f1e128p-488", "0x1.ca3d5805b5046p-790",
+    "0x1.578e44a736f77p+203", "0x1.9c66a51210441p-813", "0x1.46ccc8929990dp+320",
+    "0x1.ac64a6da0eaf8p+576", "0x1.0384c86fa4263p+531", "0x1.865dab811736fp+856",
+    "0x1.fc7b7a9fa7532p+949", "0x1.b537e5a55ab09p+458", "0x1.4d5e8d072ca3ap+437",
+    "0x1.e6ff3f9d280dep-858", "0x1.37b07123fa1f6p-650", "0x1.e7946db147f48p-858",
+    "0x1.368c7f399747bp+251", "0x1.29fb9de1be2ecp+322", "0x1.b4a1732a82727p-440",
+    "0x1.ec8b19fabc306p+693", "0x1.873fa4720db8bp-207", "0x1.fddbde365aa32p-370",
+))
 
 
 def exact_ties(rng: np.random.Generator, per_scale: int = 500) -> np.ndarray:
@@ -53,6 +69,7 @@ def sweep_values(n_random: int, seed: int = 0) -> dict:
         "zeros": np.array([0.0, -0.0]),
         "integers near 2^53": np.concatenate([near_2_53, -near_2_53]),
         "exact 17-digit ties": np.concatenate([ties, -ties]),
+        "near 17-digit ties": np.array(NEAR_TIES + tuple(-x for x in NEAR_TIES)),
         "linspace(0, 1, 65537)": np.linspace(0.0, 1.0, 65537),
     }
 

@@ -123,6 +123,8 @@ def test_only_uncertified_values_are_formatted_per_element():
     ties = sweep.exact_ties(np.random.default_rng(2), per_scale=50)
     assert sweep.uncertified(ties) == np.count_nonzero(ties < 1e-6) > 0
     assert sweep.mismatches(ties) == []
+    # near ties that the double-double scaling rounds the wrong way
+    assert sweep.uncertified(np.array(sweep.NEAR_TIES)) == len(sweep.NEAR_TIES)
 
 
 def test_uncertified_values_are_written_by_percent_17g(monkeypatch):

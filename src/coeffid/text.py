@@ -210,7 +210,7 @@ def iter_rows(columns, end: bytes = b"\n"):
     cols = [np.asarray(c, dtype=np.float64) for c in columns]
     tails = np.array([_at(b",", 6)] * (len(cols) - 1) + [_at(end, 6)], dtype=_U64)
     step = max(1, _CHUNK // len(cols))
-    words = np.empty((step, len(cols), 4), dtype=_U64)
+    words = np.empty((min(step, cols[0].size), len(cols), 4), dtype=_U64)
     for i in range(0, cols[0].size, step):
         # row-major values, so the rows of words are the rows of text
         x = np.stack([c[i:i + step] for c in cols], axis=1).ravel()

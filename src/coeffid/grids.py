@@ -9,6 +9,7 @@ ground truth throughout.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import math
@@ -236,9 +237,22 @@ class GridFunction1D:
 _LOADTXT_ROW = re.compile(r" at row (\d+)(, column \d+)?")
 
 
+def _row_starts(fh):
+    """The 1-based line on which each data row after the header starts.
+    csv.reader splits rows as np.loadtxt does, a quoted field spanning lines
+    included, and reads a blank line as an empty row."""
+    reader = csv.reader(fh)
+    start = 2
+    for fields in reader:
+        if fields:
+            yield start
+        start = reader.line_num + 2
+
+
 def _csv_error(path, exc: ValueError) -> str:
     """exc, raised reading the CSV file path, as one line naming the file
-    and the 1-based line of the data row np.loadtxt points at."""
+    and the 1-based line on which the data row np.loadtxt points at starts,
+    or "line ?" where csv.reader cannot split the file."""
     msg = str(exc)
     at = _LOADTXT_ROW.search(msg)
     if at is None:
@@ -246,8 +260,10 @@ def _csv_error(path, exc: ValueError) -> str:
     row = int(at[1]) - (at[2] is None)
     with open(path, newline="", errors="replace") as fh:
         next(fh, None)  # the header
-        rows = (i for i, line in enumerate(fh, 2) if line.strip("\r\n"))
-        line = next(itertools.islice(rows, row, None), "?")
+        try:
+            line = next(itertools.islice(_row_starts(fh), row, None), "?")
+        except csv.Error:  # e.g. a field over csv.field_size_limit
+            line = "?"
     return f"{path} line {line}: {msg[:at.start()]}"
 
 

@@ -9,10 +9,10 @@ The mesh is uniform: m x m square cells, each cut along its SW-NE diagonal
 into two right isosceles triangles whose legs are cell edges. A P1 field's
 energy on such a triangle is half the sum of its squared leg differences,
 whatever the mesh width, so each (nx, ny, m) workspace holds the mesh as one
-list of legs (tail node, head node, block of the cell). The stiffness matrix,
-the block products K_i u, the block gradient norms and the Gauss-Newton gram
-all come from leg differences; a constant coefficient's stiffness is the
-5-point Laplacian. Loads apply the P1 mass stencil to the nodal source.
+list of legs (tail node, head node, block of the cell). The block products
+K_i u, the block gradient norms and the Gauss-Newton gram all come from leg
+differences; a constant coefficient's stiffness is the 5-point Laplacian.
+Loads apply the P1 mass stencil to the nodal source.
 
 When m resolves the block partition, multiplying a test function supported in
 one block by a constant keeps it in the discrete space, so the inequality
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,7 +52,6 @@ __all__ = [
     "PwConstCoefficient",
     "PwRecovery",
     "fem_solve",
-    "build_system",
     "hminus1_norm",
     "grad_norm_by_block",
     "verify_pw_bound",
@@ -281,34 +280,6 @@ class _Workspace:
             self._s_indptr = np.searchsorted(
                 keys, np.arange(n_gamma + 1) * n_gamma).astype(np.int32)
 
-    @cached_property
-    def _stiffness_pattern(self) -> tuple:
-        """The interior CSR pattern of K, and per entry of the leg weights
-        [a/2, -a/2] its slot: a leg of weight a/2 adds a/2 to the diagonal at
-        each interior end and -a/2 between two interior ends."""
-        n, nb = self.interior.size, self.n_blocks
-        pos = np.full(self.n_nodes, -1)
-        pos[self.interior] = np.arange(n)
-        e = pos[np.concatenate([self.tail, self.head])]
-        o = pos[np.concatenate([self.head, self.tail])]
-        rows, cols = np.concatenate([e, e]), np.concatenate([e, o])
-        keep = (rows >= 0) & (cols >= 0)
-        keys, slot = np.unique((rows * n + cols)[keep], return_inverse=True)
-        ends_block = np.tile(self.leg_block, 2)
-        slot_weight = np.concatenate([ends_block, ends_block + nb])[keep]
-        return (slot.astype(np.int32), slot_weight.astype(np.int32),
-                (keys % n).astype(np.int32),
-                np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32))
-
-    def stiffness(self, coeffs: np.ndarray) -> sp.csr_matrix:
-        """K(a) on the interior nodes: the leg weights a/2 summed into the
-        fixed pattern."""
-        slot, slot_weight, indices, indptr = self._stiffness_pattern
-        half = 0.5 * coeffs
-        data = np.bincount(slot, weights=np.concatenate([half, -half])[slot_weight],
-                           minlength=indices.size)
-        return sp.csr_matrix((data, indices, indptr), shape=(self.interior.size,) * 2)
-
     def solver(self, coeffs: np.ndarray):
         """K(a)^-1 as a function of interior right-hand sides, one vector or
         one per column. It factors S(a) once; each call solves L on the tile
@@ -376,15 +347,6 @@ def as_nodal_field(f, m: int) -> np.ndarray:
     return arr
 
 
-def build_system(a: PwConstCoefficient, f, m: int) -> tuple:
-    """Assembled interior system K u = load for one coefficient field, as
-    (K, load). K is symmetric positive definite on the (m-1)^2 interior nodes,
-    ordered as the nodal array's [1:-1, 1:-1] block row-major in y; boundary
-    nodes carry the homogeneous Dirichlet constraint."""
-    ws = _workspace(a.partition.nx, a.partition.ny, m)
-    return ws.stiffness(a.coeffs), _mass_load(as_nodal_field(f, m), 1.0 / m)
-
-
 def fem_solve(a: PwConstCoefficient, f, m: int) -> np.ndarray:
     """P1 Galerkin solution with homogeneous Dirichlet data, returned as an
     (m+1, m+1) nodal array (zeros on the boundary)."""
@@ -435,7 +397,8 @@ def verify_pw_bound(
     Reports lhs = |a_i - b_i| |f|_{H^-1(D_i)}, rhs = Lam^2 |grad(u_a-u_b)|_{L2(D_i)}
     and the ratio lhs/rhs, which must not exceed 1 + SLACK_COEF/m. Lam defaults
     to the largest coefficient present. block_hminus1 lets sweeps reuse the
-    f-only norms.
+    f-only norms. Where such a norm is 0, lhs is 0 for every pair and the check
+    is vacuous; notes lists those blocks.
     """
     if a.partition != b.partition:
         raise ValueError("coefficient pair must share one partition")
@@ -454,6 +417,7 @@ def verify_pw_bound(
     ratios = np.where(lhs <= tiny, 0.0, lhs / np.maximum(rhs, tiny))
     slack = 1.0 + SLACK_COEF / m
     passed = bool(np.all(ratios <= slack))
+    vacuous = np.flatnonzero(block_hminus1 == 0.0).tolist()
 
     return ExperimentReport(
         name="pw_bound",
@@ -466,6 +430,7 @@ def verify_pw_bound(
             "ratio": list(ratios),
         },
         passed=passed,
+        notes=f"vacuous on blocks {vacuous}: |f|_H^-1 is 0 there" if vacuous else "",
     )
 
 

@@ -113,12 +113,11 @@ class ExperimentReport:
             memo,
         )
 
-    def curves_csv(self, memo: dict | None = None) -> str:
+    def curves_csv(self) -> str:
         """The curves as CSV: a header of curve names, then one row per index
         with every value at 17 significant digits (bools as 1/0, non-finite
         values as inf/nan). The rows are rendered straight from the columns,
-        which costs less than splitting memoised JSON text, so memo is not
-        read; it is taken for the same call shape as to_json."""
+        which costs less than splitting memoised JSON text."""
         if not self.curves:
             return ""
         cols = [np.asarray(c, dtype=float).ravel() for c in self.curves.values()]

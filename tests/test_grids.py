@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -259,6 +260,8 @@ def test_csv_accepts_quotes_blank_lines_and_crlf(tmp_path, body):
     ("x,value\n0,1\n\n0.5\n1,3\n", 4),            # a 1-field row after a blank line
     ("x,value\n0,1\n0.5,2,9\n1,3\n", 3),          # a 3-field row
     ("x,value\r\n0,1\r\n\r\n0.5,abc\r\n1,3\r\n", 4),
+    ('x,value\n0,1\n"0.5\n",2\n1,x\n', 5),      # after a quoted field spanning lines
+    ('x,value\n0,1\n"0.5\n",abc\n1,3\n', 3),    # a row that starts on line 3
 ])
 def test_csv_rejects_malformed_rows_naming_line(tmp_path, body, line):
     p = tmp_path / "bad.csv"
@@ -266,6 +269,15 @@ def test_csv_rejects_malformed_rows_naming_line(tmp_path, body, line):
     with pytest.raises(ValueError) as exc:
         GridFunction1D.from_csv(p)
     assert str(exc.value).startswith(f"{p} line {line}: ")
+
+
+def test_csv_line_unknown_where_the_reader_cannot_split(tmp_path):
+    # a field over csv.field_size_limit stops csv.reader, not np.loadtxt
+    p = tmp_path / "bad.csv"
+    p.write_text('x,value\n0,1\n"' + "a" * (csv.field_size_limit() + 1) + '",2\n1,3\n')
+    with pytest.raises(ValueError) as exc:
+        GridFunction1D.from_csv(p)
+    assert str(exc.value).startswith(f"{p} line ?: ")
 
 
 @pytest.mark.parametrize("body", ["x,value\n0\n0.5\n1\n", "x,value\n0,1,9\n0.5,1,9\n1,1,9\n"])

@@ -11,7 +11,6 @@ from coeffid.pw2d import (
     Partition2D,
     PwConstCoefficient,
     as_nodal_field,
-    build_system,
     fem_solve,
     field_to_json_dict,
     grad_norm_by_block,
@@ -61,13 +60,6 @@ def test_mesh_must_resolve_partition():
         fem_solve(const_coeff(1.0), 1.0, 1024)
 
 
-def test_stiffness_symmetric_and_sized():
-    K, _ = build_system(const_coeff(1.0), 1.0, 16)
-    assert K.shape == (15 * 15, 15 * 15)
-    assert abs(K - K.T).max() == 0.0
-    assert K.diagonal().min() > 0.0
-
-
 def random_case(nx, ny, m):
     """A coefficient with random block constants and a smooth sign-changing
     source sampled on the mesh."""
@@ -79,21 +71,23 @@ def random_case(nx, ny, m):
 
 @pytest.mark.parametrize("nx, ny", PARTITIONS)
 def test_stiffness_matches_triangle_assembly(nx, ny):
+    # the block products K_i x, one column per block, against each block's
+    # triangle-assembled stiffness: the check on the leg data
     m = 24
-    a, _ = random_case(nx, ny, m)
-    K, _ = build_system(a, 1.0, m)
-    ref = oracles.p1_stiffness(a.coeffs, nx, ny, m)
-    ref.sort_indices()
-    assert np.array_equal(K.indptr, ref.indptr)
-    assert np.array_equal(K.indices, ref.indices)
-    assert np.abs(K.data - ref.data).max() <= 4 * np.spacing(np.abs(ref.data).max())
+    part = Partition2D(nx, ny)
+    x = np.random.default_rng(nx + 3 * ny).standard_normal((m - 1) ** 2)
+    got = _workspace(nx, ny, m).block_products(x)
+    assert got.shape == (x.size, part.n_blocks)
+    for i, e_i in enumerate(np.eye(part.n_blocks)):
+        want = oracles.p1_stiffness(e_i, nx, ny, m) @ x
+        assert np.abs(got[:, i] - want).max() <= 1e-13 * np.abs(x).max()
 
 
 def test_loads_match_mass_product():
     m = 24
     _, f = random_case(1, 1, m)
     want = oracles.p1_mass(m) @ f.ravel()
-    _, load = build_system(const_coeff(1.0), f, m)
+    load = _mass_load(f, 1.0 / m)
     inner = oracles.p1_interior(m)
     assert np.abs(load - want[inner]).max() <= 1e-15 * np.abs(want[inner]).max()
     # a block's load reads only the block's closed nodes: the rows of its
@@ -170,7 +164,7 @@ def test_interface_complement_stays_sparse(nx, ny):
     # a 64 x 2 cell block condensed whole would couple its 132 boundary nodes
     # densely; split into 2 x 2 tiles, S(a) holds a few times K's entries
     m = 64
-    K, _ = build_system(const_coeff(1.0, Partition2D(nx, ny)), 1.0, m)
+    K = oracles.p1_stiffness(np.ones(nx * ny), nx, ny, m)
     assert _workspace(nx, ny, m)._s_slot.size <= 4 * K.nnz
 
 
@@ -201,7 +195,8 @@ def test_manufactured_solution_second_order():
 
 
 def test_galerkin_residual_small():
-    K, load = build_system(const_coeff(1.0), 1.0, 32)
+    K = oracles.p1_stiffness([1.0], 1, 1, 32)
+    load = _mass_load(np.ones((33, 33)), 1.0 / 32)
     x = fem_solve(const_coeff(1.0), 1.0, 32)[1:-1, 1:-1].ravel()
     r = load - K @ x
     assert np.abs(r).max() < 1e-9
@@ -307,6 +302,19 @@ def test_pw_bound_random_pairs_2x2():
 def test_pw_bound_partition_mismatch():
     with pytest.raises(ValueError, match="partition"):
         verify_pw_bound(const_coeff(1.0), const_coeff(1.0, Partition2D(2, 2)), 1.0, 32)
+
+
+def test_pw_bound_notes_blocks_where_it_is_vacuous():
+    # f = 1{x < 1/2} has no H^-1 energy on blocks 1 and 3: lhs is 0 there
+    # whatever the pair, so the bound checks nothing on them
+    part, m = Partition2D(2, 2), 48
+    a = PwConstCoefficient(part, np.array([1.0, 1.5, 0.8, 1.2]))
+    b = const_coeff(1.0, part)
+    f = as_nodal_field(lambda x, y: np.where(x < 0.5, 1.0, 0.0), m)
+    rep = verify_pw_bound(a, b, f, m)
+    assert rep.notes == "vacuous on blocks [1, 3]: |f|_H^-1 is 0 there"
+    assert rep.curves["lhs"][1] == rep.curves["lhs"][3] == 0.0
+    assert verify_pw_bound(a, b, 1.0, m).notes == ""
 
 
 def test_recover_roundtrip_2x2():

@@ -88,7 +88,8 @@ def mismatches(values: np.ndarray) -> list:
     bad = [v for v, g, r in zip(values.tolist(), got, ref) if g != r]
     if len(got) != len(ref):
         bad.append("joined length")
-    rows = b"".join(text.iter_rows([values, values[::-1]], end=b"\r\n"))
+    rows = b"".join(text.rows(words, end=b"\r\n")
+                    for words in text.iter_words([values, values[::-1]]))
     if rows != b"".join(b"%s,%s\r\n" % pair for pair in zip(ref, ref[::-1])):
         bad.append("csv rows")
     return bad

@@ -85,6 +85,13 @@ def _argv_without_out(argv) -> list:
     return kept
 
 
+def _encoded(text: str):
+    """The UTF-8 bytes of text, 2^20 characters at a time: encoding by
+    slices gives the bytes of encoding it whole."""
+    for i in range(0, len(text), 1 << 20):
+        yield text[i:i + (1 << 20)].encode()
+
+
 def _emit(args, report: ExperimentReport, extra: dict) -> None:
     """Print the report, or write it with the extra {filename: object} files
     as canonical JSON and a manifest of their checksums into --out."""
@@ -92,25 +99,31 @@ def _emit(args, report: ExperimentReport, extra: dict) -> None:
         print(report.to_json())
         return
     stem = "_".join(filter(None, (args.command, getattr(args, "kind", None))))
-    # one memo for the JSON files of the run: each float column is rendered once
+    # one memo for the files of the run: each float column is rendered once
     memo: dict = {}
 
     def render():
-        if args.fmt in ("json", "both"):
-            yield f"{stem}.json", report.to_json(memo)
+        # the CSV goes first: its rows fill the memo with the JSON text of
+        # every finite float curve
         if args.fmt in ("csv", "both") and report.curves:
-            yield f"{stem}.csv", report.curves_csv()
+            yield f"{stem}.csv", report.csv_chunks(memo)
+        if args.fmt in ("json", "both"):
+            yield f"{stem}.json", _encoded(report.to_json(memo))
         for name, obj in extra.items():
-            yield name, canonical_json(obj, memo)
+            yield name, _encoded(canonical_json(obj, memo))
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     written = {}
-    # files are written as they are rendered, so only one text is held at a time
-    for name, text in render():
-        data = text.encode()
-        (outdir / name).write_bytes(data)
-        written[name] = hashlib.sha256(data).hexdigest()
+    # files are written chunk by chunk as they are rendered, so no file is
+    # held whole as bytes, and at most one JSON text is held at a time
+    for name, chunks in render():
+        digest = hashlib.sha256()
+        with open(outdir / name, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+                digest.update(chunk)
+        written[name] = digest.hexdigest()
     # the output location is not an input: dropping it keeps manifests
     # byte-identical across reruns into different directories
     manifest = canonical_json(
@@ -501,8 +514,11 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = ap.parse_args(argv, argparse.Namespace(argv=tuple(argv)))
     try:
-        rep, extra = args.run(args)
-        _emit(args, rep, extra)
+        # numpy's floating-point warnings would add stderr lines of their
+        # own: a value that must be finite is checked and fails in one line
+        with np.errstate(all="ignore"):
+            rep, extra = args.run(args)
+            _emit(args, rep, extra)
     except (ValueError, OSError) as exc:
         print(f"error: {str(exc).translate(_ESCAPE_BREAKS)}", file=sys.stderr)
         return 2

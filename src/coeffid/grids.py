@@ -194,8 +194,8 @@ class GridFunction1D:
         coeffid.text one chunk of rows per write."""
         with open(path, "wb") as fh:
             fh.write(b"x,value\r\n")
-            for rows in text.iter_rows((self.x, self.values), end=b"\r\n"):
-                fh.write(rows)
+            for words in text.iter_words((self.x, self.values)):
+                fh.write(text.rows(words, end=b"\r\n"))
 
     @classmethod
     def from_csv(cls, path) -> "GridFunction1D":

@@ -260,6 +260,8 @@ class _Workspace:
         t, d = np.nonzero(nbr >= 0)
         self._coupling = sp.csr_matrix((np.ones(t.size), (nbr[t, d], t)),
                                        shape=(n_gamma, flat.size))
+        # C^T, built once: every solve scatters the interface back with it
+        self._coupling_t = self._coupling.T.tocsr()
 
         # S(a) = sum over tiles of a_i S_loc restricted to the interface: one
         # S_loc, and per contribution its entry of S_loc and its slot in the
@@ -305,7 +307,7 @@ class _Workspace:
             u = np.empty_like(rhs)
             u[..., self._gamma] = u_gamma = solve_interface(g.T).T
             y /= a_tile[:, None, None]
-            y += _laplace_solve((self._coupling.T @ u_gamma.T).T.reshape(y.shape), self.tile_dst)
+            y += _laplace_solve((self._coupling_t @ u_gamma.T).T.reshape(y.shape), self.tile_dst)
             u[..., self._tile_interior] = y
             return u.T
 

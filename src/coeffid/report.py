@@ -8,9 +8,10 @@ inputs produce identical bytes.
 Float columns are rendered by coeffid.text, which gives the bytes of
 "%.17g" for a whole array at a time. A 1-D float64 array renders once per
 memo as its ", "-joined text, keyed by the array's identity, so the JSON
-report and the extra files of one CLI run share it: a curve written to
-three files is formatted twice, once here and once as CSV rows, which
-coeffid.text renders straight from the columns.
+report and the extra files of one CLI run share it. The CSV curves are
+rendered from the same slot words: csv_chunks puts each finite float64
+curve's joined text into the memo as it writes the rows, so a curve written
+to three files is formatted once.
 """
 
 from __future__ import annotations
@@ -113,15 +114,34 @@ class ExperimentReport:
             memo,
         )
 
-    def curves_csv(self) -> str:
-        """The curves as CSV: a header of curve names, then one row per index
-        with every value at 17 significant digits (bools as 1/0, non-finite
-        values as inf/nan). The rows are rendered straight from the columns,
-        which costs less than splitting memoised JSON text."""
+    def csv_chunks(self, memo: dict | None = None):
+        """The curves as CSV bytes, a header of curve names and then one row
+        per index with every value at 17 significant digits (bools as 1/0,
+        non-finite values as inf/nan), one chunk of rows at a time. With a
+        memo, each finite 1-D float64 curve it lacks gets its ", "-joined text
+        from the same rendering once the last chunk is out, so to_json and
+        canonical_json with that memo format it no more."""
         if not self.curves:
-            return ""
+            return
         cols = [np.asarray(c, dtype=float).ravel() for c in self.curves.values()]
         if any(c.size != cols[0].size for c in cols):
             raise ValueError("curve columns must have equal length")
-        return "".join([",".join(self.curves), "\n",
-                        *(rows.decode() for rows in text.iter_rows(cols))])
+        joined = {}
+        if memo is not None:
+            for j, c in enumerate(self.curves.values()):
+                if _is_float_column(c) and id(c) not in memo and np.isfinite(c).all():
+                    joined.setdefault(id(c), (c, j, []))
+        yield ",".join(self.curves).encode() + b"\n"
+        for words in text.iter_words(cols):
+            # each JSON text copies its column before rows ORs in the CSV separators
+            for _, j, parts in joined.values():
+                parts.append(text.join_words(words[:, j]))
+            yield text.rows(words)
+        for key, (c, _, parts) in joined.items():
+            memo[key] = (c, b", ".join(parts).decode())
+            parts.clear()
+
+    def curves_csv(self) -> str:
+        """The curves as CSV text, csv_chunks joined. The CLI writes the
+        chunks of csv_chunks instead, one at a time."""
+        return b"".join(self.csv_chunks()).decode()

@@ -20,8 +20,11 @@ Layout. Each value fills 32 bytes, four little-endian 64-bit words, in
 "%g" order: the sign, "0." and leading zeros below 1, the 17 digits, the
 exponent and two bytes of separator. Unused bytes are 0. The point is put in
 by moving the digits after it up one byte. The rows of several columns sit
-side by side, and bytes.translate drops the zeros, so one pass emits whole
-CSV rows or a ", "-joined JSON array, _CHUNK values at a time.
+side by side, _CHUNK values at a time, with the separator bytes left at 0.
+ORing "," and the line end into them and dropping the zeros with
+bytes.translate gives whole CSV rows; ORing ", " into a copy of one
+column's slots gives that column as a JSON array's text. So one rendering of
+a column feeds both its CSV rows and its JSON text.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["iter_rows", "join"]
+__all__ = ["iter_words", "rows", "join_words", "join"]
 
 _CHUNK = 16384
 # error allowance of the double-double product outside the exact range
@@ -203,12 +206,12 @@ def _words(x: np.ndarray, out: np.ndarray) -> None:
         out[i].view(np.uint8)[:len(text)] = np.frombuffer(text, dtype=np.uint8)
 
 
-def iter_rows(columns, end: bytes = b"\n"):
-    """The "%.17g" text of equal-length float64 columns as CSV rows: the
-    values of a row joined by ",", each row followed by end (at most two
-    bytes). Yields one bytes object per chunk of at most _CHUNK values."""
+def iter_words(columns):
+    """The slot words of equal-length float64 columns, one chunk of at most
+    _CHUNK values at a time: an array (rows, len(columns), 4) whose
+    separator bytes are 0. The array is reused from chunk to chunk, so take
+    what is needed from it before the next."""
     cols = [np.asarray(c, dtype=np.float64) for c in columns]
-    tails = np.array([_at(b",", 6)] * (len(cols) - 1) + [_at(end, 6)], dtype=_U64)
     step = max(1, _CHUNK // len(cols))
     words = np.empty((min(step, cols[0].size), len(cols), 4), dtype=_U64)
     for i in range(0, cols[0].size, step):
@@ -216,13 +219,26 @@ def iter_rows(columns, end: bytes = b"\n"):
         x = np.stack([c[i:i + step] for c in cols], axis=1).ravel()
         out = words[:x.size // len(cols)]
         _words(x, out.reshape(-1, 4))
-        out[:, :, 3] |= tails
-        yield out.tobytes().translate(None, b"\0")
+        yield out
+
+
+def rows(words: np.ndarray, end: bytes = b"\n") -> bytes:
+    """CSV rows from a chunk of iter_words: the values of a row joined by
+    ",", each row followed by end (at most two bytes). The separators are
+    ORed into words in place."""
+    words[:, :, 3] |= np.array([_at(b",", 6)] * (words.shape[1] - 1) + [_at(end, 6)],
+                               dtype=_U64)
+    return words.tobytes().translate(None, b"\0")
+
+
+def join_words(words: np.ndarray) -> bytes:
+    """The values of one column's slot words (rows, 4), separator bytes 0,
+    joined by ", ", with none after the last. The words are not changed."""
+    w = words.copy()
+    w[:-1, 3] |= np.uint64(_at(b", ", 6))
+    return w.tobytes().translate(None, b"\0")
 
 
 def join(values: np.ndarray) -> bytes:
     """The "%.17g" text of each value of a float64 array, joined by ", "."""
-    chunks = list(iter_rows([values], end=b", "))
-    if chunks:
-        chunks[-1] = chunks[-1][:-2]
-    return b"".join(chunks)
+    return b", ".join(join_words(words[:, 0]) for words in iter_words([values]))

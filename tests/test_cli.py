@@ -1,9 +1,13 @@
 import json
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from coeffid import text
 from coeffid.cli import build_parser, main
 from coeffid.grids import GridFunction1D, Interval
 
@@ -191,6 +195,63 @@ def test_format_flag_json_only(tmp_path):
                 "--format", "json", "--out", str(out)]) == 0
     assert (out / "forward.json").exists()
     assert not (out / "forward.csv").exists()
+
+
+_FORMAT_RUNS = {
+    "forward": ["forward", "--n", "512", "--a", "linear:1.2,0.3", "--f", "const:1.7"],
+    "recover": ["recover", "--du", "csv:du.csv", "--f", "csv:f.csv"],
+    "volterra": ["counterexample", "volterra", "--level", "2", "--n", "1024", "--amp", "0.6"],
+}
+
+
+@pytest.mark.parametrize("cmd", _FORMAT_RUNS)
+def test_formats_write_identical_bytes_where_they_overlap(cmd, tmp_path, monkeypatch):
+    # --format csv fills the memo from the CSV rows, json from the JSON
+    # report, both from the CSV rows first: every shared file must match
+    monkeypatch.chdir(tmp_path)
+    iv = Interval(0.0, 1.0)
+    GridFunction1D.from_callable(lambda x: (0.5 - x) / (1.25 + 0.25 * x), iv, 512).to_csv("du.csv")
+    GridFunction1D.from_callable(lambda x: 1.0 + x * x, iv, 512).to_csv("f.csv")
+    files = {}
+    for fmt in ("json", "csv", "both"):
+        assert run(_FORMAT_RUNS[cmd] + ["--format", fmt, "--out", fmt]) == 0
+        files[fmt] = {p.name: p.read_bytes() for p in (tmp_path / fmt).iterdir()
+                      if p.name != "manifest.json"}
+    assert files["json"].keys() | files["csv"].keys() == files["both"].keys()
+    assert files["json"].keys() < files["both"].keys() and files["csv"].keys() < files["both"].keys()
+    for fmt in ("json", "csv"):
+        for name, data in files[fmt].items():
+            assert data == files["both"][name], (fmt, name)
+
+
+def test_forward_renders_each_float_column_once(tmp_path, monkeypatch):
+    # x, u, du and F go to forward.csv and forward.json, and all but x to
+    # solution.json; each passes through the float text kernel once
+    words = text._words
+    seen = []
+
+    def counted(x, out):
+        seen.append(x.size)
+        return words(x, out)
+
+    monkeypatch.setattr(text, "_words", counted)
+    n = 300
+    assert run(["forward", "--n", str(n), "--a", "linear:1.2,0.3", "--f", "const:1.7",
+                "--out", str(tmp_path / "o")]) == 0
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == \
+        ["forward.csv", "forward.json", "manifest.json", "solution.json"]
+    assert sum(seen) == 4 * (n + 1)
+
+
+def test_extreme_literal_prints_one_stderr_line():
+    # 1/a overflows for a = 1e-320; the numpy warnings must not reach stderr
+    # ahead of the one-line error, even with every warning shown
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-W", "always", "-m", "coeffid.cli", "forward",
+                           "--n", "8", "--a", "const:1e-320", "--f", "const:1"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: nodal values must be finite"]
 
 
 def test_recover_from_u_differentiates_first(tmp_path):

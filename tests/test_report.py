@@ -49,12 +49,17 @@ def test_report_matches_oracle(curves, scalar, big):
     json_ref = oracles.canonical_json({"name": "r", "inputs": rep.inputs, "metrics": rep.metrics,
                                        "curves": curves, "passed": True, "notes": ""})
     csv_ref = oracles.curves_csv(curves)
-    memo: dict = {}
-    # one memo for the JSON and a second file holding the same arrays
-    assert rep.to_json(memo) == json_ref
     assert rep.curves_csv() == csv_ref
-    assert canonical_json({"again": list(curves.values())}, memo) == \
-        oracles.canonical_json({"again": list(curves.values())})
+    # one memo for the CSV rows, the JSON and a second file holding the same
+    # arrays, filled by the CSV rows or by the JSON, whichever comes first
+    for csv_first in (True, False):
+        memo: dict = {}
+        if csv_first:
+            assert b"".join(rep.csv_chunks(memo)).decode() == csv_ref
+        assert rep.to_json(memo) == json_ref
+        assert b"".join(rep.csv_chunks(memo)).decode() == csv_ref
+        assert canonical_json({"again": list(curves.values())}, memo) == \
+            oracles.canonical_json({"again": list(curves.values())})
 
 
 @settings(max_examples=100)

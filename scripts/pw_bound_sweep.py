@@ -43,7 +43,7 @@ def main() -> int:
     all_passed = True
     for m in (16, 32, 64, 128, 256, 512):
         rng = np.random.default_rng(args.seed)
-        hm = np.array([hminus1_norm(1.0, part, i, m) for i in range(part.n_blocks)])
+        hm = hminus1_norm(1.0, part, range(part.n_blocks), m)
         worst = 0.0
         passed = True
         for _ in range(args.trials):

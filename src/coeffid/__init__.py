@@ -20,7 +20,6 @@ from .stability import (
     DyadicFamily,
     ExponentFit,
     HolderReport,
-    dyadic_build,
     dyadic_rate,
     fit_exponents,
     holder_exponent,
@@ -67,7 +66,6 @@ __all__ = [
     "fit_exponents",
     "holder_exponent",
     "verify_holder",
-    "dyadic_build",
     "dyadic_rate",
     "IntervalSet",
     "CounterexamplePair",

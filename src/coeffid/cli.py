@@ -92,6 +92,16 @@ def _encoded(text: str):
         yield text[i:i + (1 << 20)].encode()
 
 
+def _array_ids(obj) -> set:
+    """The ids of the arrays canonical_json(obj) prints: obj itself or those
+    inside its dicts, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        return {id(obj)}
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    return set().union(*map(_array_ids, obj)) if isinstance(obj, (list, tuple)) else set()
+
+
 def _emit(args, report: ExperimentReport, extra: dict) -> None:
     """Print the report, or write it with the extra {filename: object} files
     as canonical JSON and a manifest of their checksums into --out."""
@@ -101,12 +111,15 @@ def _emit(args, report: ExperimentReport, extra: dict) -> None:
     stem = "_".join(filter(None, (args.command, getattr(args, "kind", None))))
     # one memo for the files of the run: each float column is rendered once
     memo: dict = {}
+    printed = _array_ids(extra)
+    if args.fmt in ("json", "both"):
+        printed |= {id(c) for c in report.curves.values()}
 
     def render():
         # the CSV goes first: its rows fill the memo with the JSON text of
-        # every finite float curve
+        # every finite float curve that a JSON file prints
         if args.fmt in ("csv", "both") and report.curves:
-            yield f"{stem}.csv", report.csv_chunks(memo)
+            yield f"{stem}.csv", report.csv_chunks(memo, printed)
         if args.fmt in ("json", "both"):
             yield f"{stem}.json", _encoded(report.to_json(memo))
         for name, obj in extra.items():
@@ -185,17 +198,26 @@ def _cmd_recover(args):
         },
         curves={"x": du.x, "a": res.a.values, "masked": res.degenerate_mask.astype(int)},
         passed=True,
-        notes=f"zero candidates: {[fmt_float(c) for c in res.candidates][:8]}",
+        notes=f"zero candidates: {[fmt_float(c) for c in res.candidates[:8]]}",
     )
     return rep, {"coefficient.json": res.a.to_json_dict()}
 
 
-def _span(F: GridFunction1D) -> float:
-    """max F - min F, rejecting a constant F, whose level bands cannot be fitted."""
+def _fit_bands(F: GridFunction1D, rho_max=None, rho_min=None, rho_points=10, M_points=32):
+    """fit_exponents of F over rho_points band widths, geometric from rho_max
+    (default span/4) down to rho_min (default rho_max/512), at M_points
+    levels; returns the fit, rho_max and rho_min. A constant F, whose level
+    bands cannot be fitted, is rejected."""
     span = float(F.values.max() - F.values.min())
     if not span > 0.0:
         raise ValueError("F is constant: no level bands to fit")
-    return span
+    for flag, rho in (("--rho-min", rho_min), ("--rho-max", rho_max)):
+        if rho is not None and not (math.isfinite(rho) and rho > 0.0):
+            raise ValueError(f"{flag} must be finite and positive, got {rho}")
+    rho_max = span / 4.0 if rho_max is None else rho_max
+    rho_min = rho_max / 512.0 if rho_min is None else rho_min
+    fit = fit_exponents(F, np.geomspace(rho_max, rho_min, rho_points), M_points)
+    return fit, rho_max, rho_min
 
 
 def _cmd_exponents(args):
@@ -204,14 +226,8 @@ def _cmd_exponents(args):
         F = _parse_grid_function(args.F, iv, args.n)
     else:
         F = primitive(_parse_grid_function(args.f, iv, args.n))
-    span = _span(F)
-    for flag, rho in (("--rho-min", args.rho_min), ("--rho-max", args.rho_max)):
-        if rho is not None and not (math.isfinite(rho) and rho > 0.0):
-            raise ValueError(f"{flag} must be finite and positive, got {rho}")
-    rho_max = args.rho_max if args.rho_max is not None else span / 4.0
-    rho_min = args.rho_min if args.rho_min is not None else rho_max / 512.0
-    rho_grid = np.geomspace(rho_max, rho_min, args.rho_points)
-    fit = fit_exponents(F, rho_grid, args.M_points)
+    fit, rho_max, rho_min = _fit_bands(F, args.rho_max, args.rho_min, args.rho_points,
+                                       args.M_points)
     rep = ExperimentReport(
         name="exponents",
         inputs={"n": F.n, "rho_min": rho_min, "rho_max": rho_max,
@@ -236,9 +252,7 @@ def _cmd_holder(args):
     f = _parse_grid_function(args.f, a.interval, a.n)
     alpha, beta, flat = args.alpha, args.beta, False
     if alpha is None:
-        F = primitive(f)
-        span = _span(F)
-        fit = fit_exponents(F, np.geomspace(span / 4.0, span / 2048.0, 10), 32)
+        fit = _fit_bands(primitive(f))[0]
         alpha, beta, flat = fit.alpha, fit.beta, fit.beta_degenerate
     rep = ExperimentReport(
         name="holder",
@@ -300,7 +314,7 @@ def _cmd_pw2d_verify(args):
     part = Partition2D(args.nx, args.ny)
     bounds = CoefficientBounds(args.lam, args.Lam)
     rng = np.random.default_rng(args.seed)
-    hm = np.array([hminus1_norm(1.0, part, i, args.m) for i in range(part.n_blocks)])
+    hm = hminus1_norm(1.0, part, range(part.n_blocks), args.m)
     trials = []
     for _ in range(args.trials):
         ca = rng.uniform(bounds.lam, bounds.Lam, part.n_blocks)

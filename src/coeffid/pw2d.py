@@ -31,7 +31,7 @@ tile, scaled and summed into a fixed sparse pattern. A solve is one sparse LU
 of S(a) and two batched DST-I solves, dense products with the transform
 matrices, over the stack of tile interiors; a factor serves every right-hand
 side that shares its coefficient. Block H^-1 norms read
-sum s_pq^2 / lambda_pq off one DST-I of the block load.
+sum s_pq^2 / lambda_pq off one DST-I over the stack of block loads.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.sparse.linalg import splu
 
 from .grids import CoefficientBounds, json_count, json_fields
@@ -199,12 +200,13 @@ def _local_complement(sx: int, sy: int, dst: tuple) -> tuple:
 
 def _mass_load(g: np.ndarray, h: float) -> np.ndarray:
     """P1 mass product M g at the interior nodes of a nodal array g indexed
-    [iy, ix], flattened row-major in y. A node shares a triangle with its four
+    [iy, ix], or of each array of a stack g[..., iy, ix]: the result has g's
+    shape less the boundary nodes. A node shares a triangle with its four
     axis neighbours and its two neighbours along the cells' SW-NE diagonal:
     the stencil is h^2/12 times 6 g at the node plus g at those six."""
-    ring = (6.0 * g[1:-1, 1:-1] + g[1:-1, 2:] + g[1:-1, :-2] + g[2:, 1:-1] + g[:-2, 1:-1]
-            + g[2:, 2:] + g[:-2, :-2])
-    return (h * h / 12.0) * ring.ravel()
+    ring = (6.0 * g[..., 1:-1, 1:-1] + g[..., 1:-1, 2:] + g[..., 1:-1, :-2] + g[..., 2:, 1:-1]
+            + g[..., :-2, 1:-1] + g[..., 2:, 2:] + g[..., :-2, :-2])
+    return (h * h / 12.0) * ring
 
 
 class _Workspace:
@@ -263,9 +265,9 @@ class _Workspace:
         # C^T, built once: every solve scatters the interface back with it
         self._coupling_t = self._coupling.T.tocsr()
 
-        # S(a) = sum over tiles of a_i S_loc restricted to the interface: one
-        # S_loc, and per contribution its entry of S_loc and its slot in the
-        # fixed CSR pattern, grouped by tile
+        # S(a) = sum over tiles of a_i S_loc restricted to the interface, a
+        # fixed CSR pattern whose values are _s_map @ a_tile: column t of the
+        # map holds tile t's entries of S_loc, each in the row of its slot
         if n_gamma:
             S_loc, bx, by = _local_complement(sx, sy, self.tile_dst)
             corner = ((np.arange(ty) * sy)[:, None] * (m + 1) + np.arange(tx) * sx).ravel()
@@ -274,10 +276,9 @@ class _Workspace:
             rows, cols = tile_boundary[:, r], tile_boundary[:, c]
             keep = (rows >= 0) & (cols >= 0)
             keys, slot = np.unique(rows[keep] * n_gamma + cols[keep], return_inverse=True)
-            self._s_values = S_loc[r, c]
-            self._s_entry = np.nonzero(keep)[1].astype(np.int32)
-            self._s_count = np.count_nonzero(keep, axis=1)
-            self._s_slot = slot.astype(np.int32)
+            indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))])
+            self._s_map = sp.csc_matrix((S_loc[r, c][np.nonzero(keep)[1]], slot, indptr),
+                                        shape=(keys.size, tx * ty))
             self._s_indices = (keys % n_gamma).astype(np.int32)
             self._s_indptr = np.searchsorted(
                 keys, np.arange(n_gamma + 1) * n_gamma).astype(np.int32)
@@ -291,10 +292,10 @@ class _Workspace:
         n_gamma = self._gamma.size
         solve_interface = np.asarray  # no interface: a single tile
         if n_gamma:
-            weights = np.repeat(a_tile, self._s_count) * self._s_values[self._s_entry]
-            data = np.bincount(self._s_slot, weights=weights, minlength=self._s_indices.size)
-            # S(a) is symmetric, so its CSR arrays are its CSC arrays
-            S = sp.csc_matrix((data, self._s_indices, self._s_indptr), shape=(n_gamma, n_gamma))
+            # the map adds each slot's contributions in tile order; S(a) is
+            # symmetric, so its CSR arrays are its CSC arrays
+            S = sp.csc_matrix((self._s_map @ a_tile, self._s_indices, self._s_indptr),
+                              shape=(n_gamma, n_gamma))
             solve_interface = splu(S, permc_spec="MMD_AT_PLUS_A",
                                    options={"SymmetricMode": True}).solve
 
@@ -355,7 +356,7 @@ def fem_solve(a: PwConstCoefficient, f, m: int) -> np.ndarray:
     ws = _workspace(a.partition.nx, a.partition.ny, m)
     u = np.zeros((m + 1, m + 1))
     load = _mass_load(as_nodal_field(f, m), 1.0 / m)
-    u[1:-1, 1:-1] = ws.solver(a.coeffs)(load).reshape(m - 1, m - 1)
+    u[1:-1, 1:-1] = ws.solver(a.coeffs)(load.ravel()).reshape(m - 1, m - 1)
     return u
 
 
@@ -371,19 +372,28 @@ def grad_norm_by_block(u: np.ndarray, partition: Partition2D, m: int) -> np.ndar
     return np.sqrt(per_block)
 
 
-def hminus1_norm(f, partition: Partition2D, block: int, m: int) -> float:
-    """Discrete H^-1 norm of f on one block: |grad w|_{L2(block)} for the
+def hminus1_norm(f, partition: Partition2D, block, m: int):
+    """Discrete H^-1 norm of f on a block: |grad w|_{L2(block)} for the
     solution w of -Lap w = f with zero data on the block boundary. With the
     block load s and the block's interior 5-point Laplacian L = Q diag(lambda) Q
-    (Q the orthonormal DST-I), |grad w|^2 = s . L^-1 s = sum (Q s)^2 / lambda."""
-    if not 0 <= block < partition.n_blocks:
-        raise ValueError(f"block must lie in [0, {partition.n_blocks})")
+    (Q the orthonormal DST-I), |grad w|^2 = s . L^-1 s = sum (Q s)^2 / lambda.
+
+    block is one id, which gives a float, or a sequence of ids, which gives
+    an array of their norms in that order. The requested blocks' nodal
+    windows are stacked, and one DST-I over the stack transforms every
+    load, so the work is that of the requested blocks."""
+    ids = np.asarray(block)
+    if ids.ndim > 1 or ids.size and ids.dtype.kind not in "iu":
+        raise ValueError("block must be an integer id or a sequence of integer ids")
+    if ids.size and not (ids.min() >= 0 and ids.max() < partition.n_blocks):
+        raise ValueError(f"block ids must lie in [0, {partition.n_blocks})")
     ws = _workspace(partition.nx, partition.ny, m)
-    by, bx = divmod(block, partition.nx)
-    sub = as_nodal_field(f, m)[by * ws.my : (by + 1) * ws.my + 1, bx * ws.mx : (bx + 1) * ws.mx + 1]
+    by, bx = np.divmod(ids.astype(np.intp).ravel(), partition.nx)
+    windows = sliding_window_view(as_nodal_field(f, m), (ws.my + 1, ws.mx + 1))
     Sy, Sx, eig = ws.block_dst
-    hat = Sy @ _mass_load(sub, 1.0 / m).reshape(eig.shape) @ Sx
-    return float(math.sqrt((hat * hat / eig).sum()))
+    hat = Sy @ _mass_load(windows[by * ws.my, bx * ws.mx], 1.0 / m) @ Sx
+    norms = np.sqrt((hat * hat / eig).reshape(ids.size, eig.size).sum(axis=1))
+    return float(norms[0]) if ids.ndim == 0 else norms
 
 
 def verify_pw_bound(
@@ -412,7 +422,7 @@ def verify_pw_bound(
     u_b = fem_solve(b, f, m)
     rhs = Lam * Lam * grad_norm_by_block(u_a - u_b, part, m)
     if block_hminus1 is None:
-        block_hminus1 = np.array([hminus1_norm(f, part, i, m) for i in range(part.n_blocks)])
+        block_hminus1 = hminus1_norm(f, part, range(part.n_blocks), m)
     lhs = np.abs(a.coeffs - b.coeffs) * block_hminus1
 
     tiny = 1e-300
@@ -479,7 +489,7 @@ def recover_pw(
 
     nb = partition.n_blocks
     inner = ws.interior
-    b_int = _mass_load(as_nodal_field(f, m), 1.0 / m)
+    b_int = _mass_load(as_nodal_field(f, m), 1.0 / m).ravel()
     A = ws.block_products(u_flat[inner])
     start, _, _, sv = np.linalg.lstsq(A, b_int, rcond=None)
     if sv[-1] <= 1e-12 * sv[0]:

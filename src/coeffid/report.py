@@ -9,9 +9,9 @@ Float columns are rendered by coeffid.text, which gives the bytes of
 "%.17g" for a whole array at a time. A 1-D float64 array renders once per
 memo as its ", "-joined text, keyed by the array's identity, so the JSON
 report and the extra files of one CLI run share it. The CSV curves are
-rendered from the same slot words: csv_chunks puts each finite float64
-curve's joined text into the memo as it writes the rows, so a curve written
-to three files is formatted once.
+rendered from the same slot words: csv_chunks puts the joined text of each
+finite float64 curve that a JSON file of the run prints into the memo as it
+writes the rows, so a curve written to three files is formatted once.
 """
 
 from __future__ import annotations
@@ -114,23 +114,23 @@ class ExperimentReport:
             memo,
         )
 
-    def csv_chunks(self, memo: dict | None = None):
+    def csv_chunks(self, memo: dict | None = None, printed=()):
         """The curves as CSV bytes, a header of curve names and then one row
         per index with every value at 17 significant digits (bools as 1/0,
-        non-finite values as inf/nan), one chunk of rows at a time. With a
-        memo, each finite 1-D float64 curve it lacks gets its ", "-joined text
-        from the same rendering once the last chunk is out, so to_json and
-        canonical_json with that memo format it no more."""
+        non-finite values as inf/nan), one chunk of rows at a time. printed
+        holds the ids of the arrays a JSON text rendered with memo will
+        print: each finite 1-D float64 curve among them that the memo lacks
+        gets its ", "-joined text from the same rendering once the last chunk
+        is out, so to_json and canonical_json with that memo format it no
+        more. Curves no JSON text prints are not joined."""
         if not self.curves:
             return
         cols = [np.asarray(c, dtype=float).ravel() for c in self.curves.values()]
         if any(c.size != cols[0].size for c in cols):
             raise ValueError("curve columns must have equal length")
-        joined = {}
-        if memo is not None:
-            for j, c in enumerate(self.curves.values()):
-                if _is_float_column(c) and id(c) not in memo and np.isfinite(c).all():
-                    joined.setdefault(id(c), (c, j, []))
+        joined = {id(c): (c, j, []) for j, c in enumerate(self.curves.values())
+                  if id(c) in printed and id(c) not in memo and _is_float_column(c)
+                  and np.isfinite(c).all()}
         yield ",".join(self.curves).encode() + b"\n"
         for words in text.iter_words(cols):
             # each JSON text copies its column before rows ORs in the CSV separators

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forward import ForwardSolution, solve, solve_from_primitive
+from .forward import solve, solve_from_primitive
 from .grids import (
     CoefficientBounds,
     GridFunction1D,
@@ -41,7 +41,6 @@ from .report import ExperimentReport
 __all__ = [
     "ExponentFit",
     "DyadicFamily",
-    "DyadicBuild",
     "HolderReport",
     "k_rho_measure",
     "fit_exponents",
@@ -49,7 +48,6 @@ __all__ = [
     "verify_holder",
     "dyadic_profile",
     "dyadic_coefficient",
-    "dyadic_build",
     "dyadic_rate",
 ]
 
@@ -348,17 +346,6 @@ class DyadicFamily:
         object.__setattr__(self, "K_trunc", _tail_terms(self.alpha_d, self.jmax))
 
 
-@dataclass(frozen=True, eq=False)
-class DyadicBuild:
-    """One perturbation level: exact profile (u, du), coefficient a_j, and the
-    forward solution u_j for a_j."""
-
-    u: GridFunction1D
-    du: GridFunction1D
-    a_j: GridFunction1D
-    solution: ForwardSolution
-
-
 def _bump(y: np.ndarray) -> np.ndarray:
     """Smooth bump supported on (1/2, 1): exp(-1/((y - 1/2)(1 - y)))."""
     out = np.zeros_like(y)
@@ -420,20 +407,6 @@ def dyadic_coefficient(fam: DyadicFamily, j: int, n: int) -> GridFunction1D:
     amp = 2.0 ** (fam.beta_d * j)
     ind = indicator_values(x, -half_width, half_width)
     return GridFunction1D(iv, 1.0 + amp * ind)
-
-
-def dyadic_build(fam: DyadicFamily, j: int, n: int) -> DyadicBuild:
-    """Assemble (u, du, a_j) and solve the perturbed problem.
-
-    The source of the base problem is f = -u''; the forward solver consumes it
-    through its primitive F = -du + du(-1), avoiding any numerical
-    differentiation.
-    """
-    u, du = dyadic_profile(fam, n)
-    a_j = dyadic_coefficient(fam, j, n)
-    F = du.with_values(-du.values + du.values[0])
-    sol = solve_from_primitive(a_j, F, bounds=CoefficientBounds(1.0, 2.0))
-    return DyadicBuild(u=u, du=du, a_j=a_j, solution=sol)
 
 
 def dyadic_rate(fam: DyadicFamily, p: float, j_range, n: int) -> ExperimentReport:

@@ -243,6 +243,27 @@ def test_forward_renders_each_float_column_once(tmp_path, monkeypatch):
     assert sum(seen) == 4 * (n + 1)
 
 
+def test_forward_csv_joins_only_what_a_json_file_prints(tmp_path, monkeypatch):
+    # --format csv writes no forward.json, so x reaches no JSON file: only u,
+    # du and F, which solution.json prints, get their ", "-joined text, and
+    # the files match those of a --format both run byte for byte
+    n = 300
+    argv = ["forward", "--n", str(n), "--a", "linear:1.2,0.3", "--f", "const:1.7"]
+    assert run(argv + ["--out", str(tmp_path / "both")]) == 0
+    join_words = text.join_words
+    joined = []
+
+    def counted(words):
+        joined.append(len(words))
+        return join_words(words)
+
+    monkeypatch.setattr(text, "join_words", counted)
+    assert run(argv + ["--format", "csv", "--out", str(tmp_path / "csv")]) == 0
+    assert sum(joined) == 3 * (n + 1)
+    for name in ("forward.csv", "solution.json"):
+        assert (tmp_path / "csv" / name).read_bytes() == (tmp_path / "both" / name).read_bytes()
+
+
 def test_extreme_literal_prints_one_stderr_line():
     # 1/a overflows for a = 1e-320; the numpy warnings must not reach stderr
     # ahead of the one-line error, even with every warning shown

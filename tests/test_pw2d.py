@@ -87,7 +87,7 @@ def test_loads_match_mass_product():
     m = 24
     _, f = random_case(1, 1, m)
     want = oracles.p1_mass(m) @ f.ravel()
-    load = _mass_load(f, 1.0 / m)
+    load = _mass_load(f, 1.0 / m).ravel()
     inner = oracles.p1_interior(m)
     assert np.abs(load - want[inner]).max() <= 1e-15 * np.abs(want[inner]).max()
     # a block's load reads only the block's closed nodes: the rows of its
@@ -98,7 +98,7 @@ def test_loads_match_mass_product():
     for blk in range(part.n_blocks):
         by, bx = divmod(blk, part.nx)
         rows = nodes[by * my + 1 : by * my + my, bx * mx + 1 : bx * mx + mx].ravel()
-        got = _mass_load(f[by * my : by * my + my + 1, bx * mx : bx * mx + mx + 1], 1.0 / m)
+        got = _mass_load(f[by * my : by * my + my + 1, bx * mx : bx * mx + mx + 1], 1.0 / m).ravel()
         assert np.abs(got - want[rows]).max() <= 1e-15 * np.abs(want[rows]).max()
 
 
@@ -165,7 +165,7 @@ def test_interface_complement_stays_sparse(nx, ny):
     # densely; split into 2 x 2 tiles, S(a) holds a few times K's entries
     m = 64
     K = oracles.p1_stiffness(np.ones(nx * ny), nx, ny, m)
-    assert _workspace(nx, ny, m)._s_slot.size <= 4 * K.nnz
+    assert _workspace(nx, ny, m)._s_map.nnz <= 4 * K.nnz
 
 
 def test_center_value_against_series_oracle():
@@ -196,7 +196,7 @@ def test_manufactured_solution_second_order():
 
 def test_galerkin_residual_small():
     K = oracles.p1_stiffness([1.0], 1, 1, 32)
-    load = _mass_load(np.ones((33, 33)), 1.0 / 32)
+    load = _mass_load(np.ones((33, 33)), 1.0 / 32).ravel()
     x = fem_solve(const_coeff(1.0), 1.0, 32)[1:-1, 1:-1].ravel()
     r = load - K @ x
     assert np.abs(r).max() < 1e-9
@@ -249,6 +249,24 @@ def test_hminus1_riesz_identity_full_square():
 def test_grad_norm_by_block_rejects_wrong_node_count():
     with pytest.raises(ValueError, match="nodes"):
         grad_norm_by_block(np.ones((18, 18)), Partition2D(2, 2), 16)
+
+
+@pytest.mark.parametrize("nx, ny, m", [(1, 1, 16), (2, 2, 32), (4, 2, 48), (1, 8, 24), (8, 8, 64)])
+def test_hminus1_batched_matches_per_block_bitwise(nx, ny, m):
+    part = Partition2D(nx, ny)
+    f = as_nodal_field(lambda x, y: np.sin(3.0 * x) * y + x * x - 0.3, m)
+    single = [hminus1_norm(f, part, i, m) for i in range(part.n_blocks)]
+    assert all(type(v) is float for v in single)
+    ids = np.random.default_rng(m).permutation(part.n_blocks)
+    assert np.array_equal(hminus1_norm(f, part, ids, m), np.array(single)[ids])
+    assert np.array_equal(hminus1_norm(f, part, range(part.n_blocks), m), single)
+    assert hminus1_norm(f, part, [], m).shape == (0,)
+
+
+@pytest.mark.parametrize("block", [-1, 8, 1.5, [[0]], True, [0, 8], [0.0]])
+def test_hminus1_rejects_bad_block_ids(block):
+    with pytest.raises(ValueError, match="block"):
+        hminus1_norm(1.0, Partition2D(4, 2), block, 16)
 
 
 def test_hminus1_zero_source():

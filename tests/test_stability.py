@@ -10,11 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coeffid import stability
-from coeffid.forward import primitive
+from coeffid.forward import primitive, solve_from_primitive
 from coeffid.grids import CoefficientBounds, GridFunction1D, Interval, lp_norm
 from coeffid.stability import (
     DyadicFamily,
-    dyadic_build,
     dyadic_coefficient,
     dyadic_profile,
     dyadic_rate,
@@ -342,21 +341,33 @@ def test_dyadic_profile_even_with_zero_boundary():
     assert np.array_equal(du.values, -du.values[::-1])
 
 
+def _dyadic_levels(fam, js, n):
+    """Per j, a_j and the V gap |u_j' - u'|_{L2}, where u_j solves the problem
+    with coefficient a_j and the profile's source f = -u'', given to the
+    solver as its primitive F = -du + du(-1), as dyadic_rate does."""
+    _, du = dyadic_profile(fam, n)
+    F = du.with_values(-du.values + du.values[0])
+    for j in js:
+        a_j = dyadic_coefficient(fam, int(j), n)
+        sol = solve_from_primitive(a_j, F, bounds=CoefficientBounds(1.0, 2.0))
+        yield a_j, lp_norm(sol.du - du, 2.0)
+
+
 def test_dyadic_j0_constant_coefficient_scaling():
     fam = DyadicFamily(alpha_d=2.0, beta_d=0.0)
-    b = dyadic_build(fam, 0, 2**12)
-    assert np.all(b.a_j.values == 2.0)
-    assert lp_norm(b.solution.du - b.du * 0.5, 2.0) < 1e-8
+    _, du = dyadic_profile(fam, 2**12)
+    a_0 = dyadic_coefficient(fam, 0, 2**12)
+    sol = solve_from_primitive(a_0, du.with_values(-du.values + du.values[0]),
+                               bounds=CoefficientBounds(1.0, 2.0))
+    assert np.all(a_0.values == 2.0)
+    assert lp_norm(sol.du - du * 0.5, 2.0) < 1e-8
 
 
 def test_dyadic_v_gap_slope():
     fam = DyadicFamily(alpha_d=2.0, beta_d=0.0)
     n = 2**14
     js = np.arange(4, 9)
-    gaps = []
-    for j in js:
-        b = dyadic_build(fam, int(j), n)
-        gaps.append(lp_norm(b.solution.du - b.du, 2.0))
+    gaps = [gap for _, gap in _dyadic_levels(fam, js, n)]
     slope = np.polyfit(js, np.log2(gaps), 1)[0]
     assert slope == pytest.approx(-1.5, abs=0.1)
 
@@ -375,10 +386,7 @@ def test_dyadic_coefficient_l1_slope():
 def test_dyadic_geometric_decay_ratio(alpha_d):
     fam = DyadicFamily(alpha_d=alpha_d, beta_d=0.0)
     n = 2**14
-    gaps = []
-    for j in range(4, 9):
-        b = dyadic_build(fam, j, n)
-        gaps.append(lp_norm(b.solution.du - b.du, 2.0))
+    gaps = [gap for _, gap in _dyadic_levels(fam, range(4, 9), n)]
     expected = 2.0 ** (-(alpha_d - 0.5))
     for g1, g2 in zip(gaps, gaps[1:]):
         assert g2 / g1 == pytest.approx(expected, rel=0.1)
@@ -413,10 +421,9 @@ def test_dyadic_constant_bounded_only_at_measured_rate():
     gamma = 2.0 / 3.0
     n = 2**14
     xs, ys = [], []
-    for j in range(4, 10):
-        b = dyadic_build(fam, j, n)
-        xs.append(lp_norm(b.solution.du - b.du, 2.0))
-        ys.append(lp_norm(b.a_j - 1.0, p))
+    for a_j, gap in _dyadic_levels(fam, range(4, 10), n):
+        xs.append(gap)
+        ys.append(lp_norm(a_j - 1.0, p))
     at_gamma = [y / x**gamma for x, y in zip(xs, ys)]
     too_big = [y / x ** (1.5 * gamma) for x, y in zip(xs, ys)]
     assert max(at_gamma) / min(at_gamma) < 1.5

@@ -31,7 +31,7 @@ def main() -> None:
     ]
     print(f"{'alpha_d':>8} {'beta_d':>7} {'p':>4} {'gamma':>9} {'slope':>9} {'dev':>8}")
     for alpha_d, beta_d, p in configs:
-        fam = DyadicFamily(alpha_d=alpha_d, beta_d=beta_d, jmax=args.jmax)
+        fam = DyadicFamily(alpha_d=alpha_d, beta_d=beta_d)
         rep = dyadic_rate(fam, p, range(args.jmin, args.jmax + 1), args.n)
         print(
             f"{alpha_d:8.2f} {beta_d:7.2f} {p:4.1f} "

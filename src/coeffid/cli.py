@@ -39,7 +39,7 @@ from .pw2d import (
     recover_pw,
     verify_pw_bound,
 )
-from .report import ExperimentReport, canonical_json
+from .report import ExperimentReport, json_chunks
 from .stability import (
     DyadicFamily,
     dyadic_rate,
@@ -85,15 +85,8 @@ def _argv_without_out(argv) -> list:
     return kept
 
 
-def _encoded(text: str):
-    """The UTF-8 bytes of text, 2^20 characters at a time: encoding by
-    slices gives the bytes of encoding it whole."""
-    for i in range(0, len(text), 1 << 20):
-        yield text[i:i + (1 << 20)].encode()
-
-
 def _array_ids(obj) -> set:
-    """The ids of the arrays canonical_json(obj) prints: obj itself or those
+    """The ids of the arrays json_chunks(obj, memo) prints: obj itself or those
     inside its dicts, lists and tuples."""
     if isinstance(obj, np.ndarray):
         return {id(obj)}
@@ -121,15 +114,15 @@ def _emit(args, report: ExperimentReport, extra: dict) -> None:
         if args.fmt in ("csv", "both") and report.curves:
             yield f"{stem}.csv", report.csv_chunks(memo, printed)
         if args.fmt in ("json", "both"):
-            yield f"{stem}.json", _encoded(report.to_json(memo))
+            yield f"{stem}.json", json_chunks(report.json_dict(), memo)
         for name, obj in extra.items():
-            yield name, _encoded(canonical_json(obj, memo))
+            yield name, json_chunks(obj, memo)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     written = {}
-    # files are written chunk by chunk as they are rendered, so no file is
-    # held whole as bytes, and at most one JSON text is held at a time
+    # files are written chunk by chunk as they are rendered: a JSON file is
+    # held only as its pieces, whose float columns are the memo's bytes
     for name, chunks in render():
         digest = hashlib.sha256()
         with open(outdir / name, "wb") as fh:
@@ -139,16 +132,14 @@ def _emit(args, report: ExperimentReport, extra: dict) -> None:
         written[name] = digest.hexdigest()
     # the output location is not an input: dropping it keeps manifests
     # byte-identical across reruns into different directories
-    manifest = canonical_json(
-        {
-            "package": f"coeffid {__version__}",
-            "command": stem,
-            "argv": _argv_without_out(args.argv),
-            "seed": getattr(args, "seed", None),
-            "outputs": dict(sorted(written.items())),
-        }
-    )
-    (outdir / "manifest.json").write_bytes(manifest.encode())
+    manifest = {
+        "package": f"coeffid {__version__}",
+        "command": stem,
+        "argv": _argv_without_out(args.argv),
+        "seed": getattr(args, "seed", None),
+        "outputs": dict(sorted(written.items())),
+    }
+    (outdir / "manifest.json").write_bytes(b"".join(json_chunks(manifest, {})))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +263,7 @@ def _cmd_holder(args):
 
 
 def _cmd_dyadic(args):
-    fam = DyadicFamily(alpha_d=args.alpha, beta_d=args.beta, jmax=args.jmax)
+    fam = DyadicFamily(alpha_d=args.alpha, beta_d=args.beta)
     return dyadic_rate(fam, args.p, range(args.jmin, args.jmax + 1), args.n), {}
 
 
@@ -445,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--jmax", type=int, default=10)
-    p.add_argument("--jmin", type=int, default=4)
+    p.add_argument("--jmax", type=int, default=10, help="largest j of the perturbations a_j")
+    p.add_argument("--jmin", type=int, default=4, help="smallest j of the perturbations a_j")
     _add_common(p, 2**16)
     p.set_defaults(run=_cmd_dyadic)
 

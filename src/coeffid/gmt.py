@@ -103,14 +103,14 @@ def coarea_check(h: GridFunction1D, nlevels: int = 64) -> ExperimentReport:
 
 
 def good_levels(h: GridFunction1D, t_start: float) -> list:
-    """Scan a dyadic level grid downward to LEVEL_FLOOR and keep levels t with
-    P({h > t}) <= 1/(t |ln t|).
+    """Scan a dyadic level grid from t_start in (LEVEL_FLOOR, 1) downward to
+    LEVEL_FLOOR and keep levels t with P({h > t}) <= 1/(t |ln t|).
 
     For TV-bounded h the averaging bound guarantees such levels exist; an
     empty result therefore signals a bug and raises.
     """
-    if not 0.0 < t_start < 1.0:
-        raise ValueError("t_start must lie in (0, 1)")
+    if not LEVEL_FLOOR < t_start < 1.0:
+        raise ValueError(f"t_start must lie in ({LEVEL_FLOOR:g}, 1), got {t_start}")
     if not np.any(h.values >= 0.0):
         raise ValueError("h must be nonnegative somewhere")
     out = []

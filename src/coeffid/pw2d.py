@@ -366,6 +366,8 @@ def grad_norm_by_block(u: np.ndarray, partition: Partition2D, m: int) -> np.ndar
     v = np.asarray(u, dtype=float).ravel()
     if v.size != ws.n_nodes:
         raise ValueError(f"u has {v.size} nodes, the mesh has {ws.n_nodes}")
+    if not np.isfinite(v).all():
+        raise ValueError("u must be finite")
     # half the squared leg difference per leg: h cancels on right isosceles triangles
     d = v[ws.tail] - v[ws.head]
     per_block = np.bincount(ws.leg_block, weights=0.5 * d * d, minlength=partition.n_blocks)
@@ -476,7 +478,8 @@ def recover_pw(
     -K^{-1} K_i u off that factor; a step that raises the misfit is halved.
     Steps stop, converged, when the misfit falls by at most SWEEP_TOL
     relative to its value or the step is below 1e-12; after MAX_SWEEPS steps
-    the result carries a warning. The data decide identifiability: when the equation-error matrix [K_i u] is rank
+    the result carries a warning. A non-finite u_meas is rejected. The data
+    decide identifiability: when the equation-error matrix [K_i u] is rank
     deficient (smallest singular value at most 1e-12 times the largest, or
     the matrix is zero), some block's column lies in the span of the others
     and its constant is not determined; the result then holds midpoint
@@ -486,6 +489,9 @@ def recover_pw(
     u_flat = np.asarray(u_meas, dtype=float).ravel()
     if u_flat.size != ws.n_nodes:
         raise ValueError("u_meas does not match the mesh")
+    # LAPACK would print to stderr on a NaN before lstsq raises
+    if not np.isfinite(u_flat).all():
+        raise ValueError("u_meas must be finite")
 
     nb = partition.n_blocks
     inner = ws.interior

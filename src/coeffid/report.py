@@ -5,13 +5,16 @@ canonical: keys keep insertion order, floats are rendered at 17 significant
 digits, and no timestamps or environment data are embedded, so identical
 inputs produce identical bytes.
 
-Float columns are rendered by coeffid.text, which gives the bytes of
-"%.17g" for a whole array at a time. A 1-D float64 array renders once per
-memo as its ", "-joined text, keyed by the array's identity, so the JSON
-report and the extra files of one CLI run share it. The CSV curves are
-rendered from the same slot words: csv_chunks puts the joined text of each
-finite float64 curve that a JSON file of the run prints into the memo as it
-writes the rows, so a curve written to three files is formatted once.
+Rendered JSON is ASCII bytes throughout: json_chunks returns it as a list of
+byte strings, which the CLI writes and hashes one at a time, and only
+canonical_json and to_json join and decode it to str. Float columns are
+rendered by coeffid.text, which gives the bytes of "%.17g" for a whole array
+at a time. A 1-D float64 array renders once per memo as its ", "-joined
+bytes, keyed by the array's identity, so the JSON report and the extra files
+of one CLI run share one bytes object. The CSV curves are rendered from the
+same slot words: csv_chunks puts the joined bytes of each finite float64
+curve that a JSON file of the run prints into the memo as it writes the
+rows, so a curve written to three files is formatted once.
 """
 
 from __future__ import annotations
@@ -25,15 +28,15 @@ import numpy as np
 from . import text
 from .grids import fmt_float
 
-__all__ = ["ExperimentReport", "canonical_json"]
+__all__ = ["ExperimentReport", "canonical_json", "json_chunks"]
 
-def _float_column(arr: np.ndarray, memo: dict) -> str:
+def _float_column(arr: np.ndarray, memo: dict) -> bytes:
     """The values of a 1-D float64 array as "%.17g" text joined by ", ",
     rendered once per memo. The memo holds the array as well, so its id is
     not reused while the memo lives."""
     hit = memo.get(id(arr))
     if hit is None:
-        hit = memo[id(arr)] = (arr, text.join(arr).decode())
+        hit = memo[id(arr)] = (arr, text.join(arr))
     return hit[1]
 
 
@@ -43,50 +46,53 @@ def _is_float_column(obj) -> bool:
 
 def _render(obj, out: list, memo: dict) -> None:
     if _is_float_column(obj) and np.isfinite(obj).all():
-        out += ("[", _float_column(obj, memo), "]")
+        out += (b"[", _float_column(obj, memo), b"]")
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "iu":
-        out += ("[", ", ".join(map(str, obj.tolist())), "]")
+        out += (b"[", ", ".join(map(str, obj.tolist())).encode(), b"]")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        out.append("true" if obj else "false")
+        out.append(b"true" if obj else b"false")
     elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
+        out.append(str(int(obj)).encode())
     elif isinstance(obj, (float, np.floating)):
         x = float(obj)
-        if math.isfinite(x):
-            out.append(fmt_float(x))
-        else:
-            out.append(f'"{x!r}"')
+        out.append((fmt_float(x) if math.isfinite(x) else f'"{x!r}"').encode())
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        # json.dumps escapes every non-ASCII character
+        out.append(json.dumps(obj).encode())
     elif obj is None:
-        out.append("null")
+        out.append(b"null")
     elif isinstance(obj, dict):
-        out.append("{")
+        out.append(b"{")
         for i, (k, v) in enumerate(obj.items()):
             if i:
-                out.append(", ")
-            out.append(json.dumps(str(k)))
-            out.append(": ")
+                out.append(b", ")
+            out += (json.dumps(str(k)).encode(), b": ")
             _render(v, out, memo)
-        out.append("}")
+        out.append(b"}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        out.append("[")
+        out.append(b"[")
         seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
         for i, v in enumerate(seq):
             if i:
-                out.append(", ")
+                out.append(b", ")
             _render(v, out, memo)
-        out.append("]")
+        out.append(b"]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
 
 
-def canonical_json(obj, memo: dict | None = None) -> str:
-    """Canonical JSON text of obj. Pass one memo to every call that renders
-    the same arrays so each float column is formatted once."""
+def json_chunks(obj, memo: dict) -> list:
+    """The canonical JSON of obj as a list of ASCII byte strings, each float
+    column's text the memo's own bytes. Pass one memo to every call that
+    renders the same arrays so each float column is formatted once."""
     out: list = []
-    _render(obj, out, {} if memo is None else memo)
-    return "".join(out)
+    _render(obj, out, memo)
+    return out
+
+
+def canonical_json(obj, memo: dict | None = None) -> str:
+    """Canonical JSON text of obj: json_chunks joined."""
+    return b"".join(json_chunks(obj, {} if memo is None else memo)).decode()
 
 
 @dataclass
@@ -101,18 +107,13 @@ class ExperimentReport:
     passed: bool = True
     notes: str = ""
 
+    def json_dict(self) -> dict:
+        """The object to_json renders: every field, in declaration order."""
+        return {"name": self.name, "inputs": self.inputs, "metrics": self.metrics,
+                "curves": self.curves, "passed": self.passed, "notes": self.notes}
+
     def to_json(self, memo: dict | None = None) -> str:
-        return canonical_json(
-            {
-                "name": self.name,
-                "inputs": self.inputs,
-                "metrics": self.metrics,
-                "curves": self.curves,
-                "passed": self.passed,
-                "notes": self.notes,
-            },
-            memo,
-        )
+        return canonical_json(self.json_dict(), memo)
 
     def csv_chunks(self, memo: dict | None = None, printed=()):
         """The curves as CSV bytes, a header of curve names and then one row
@@ -138,7 +139,7 @@ class ExperimentReport:
                 parts.append(text.join_words(words[:, j]))
             yield text.rows(words)
         for key, (c, _, parts) in joined.items():
-            memo[key] = (c, b", ".join(parts).decode())
+            memo[key] = (c, b", ".join(parts))
             parts.clear()
 
     def curves_csv(self) -> str:

@@ -23,7 +23,7 @@ Three groups of tools live here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -268,7 +268,6 @@ def verify_holder(
     p: float,
     alpha: float,
     beta: float,
-    bounds: CoefficientBounds | None = None,
 ) -> HolderReport:
     """Measure both sides of |a - b|_{Lp} <= C |u'_a - u'_b|_{L2}^exponent,
     with exponent = holder_exponent(p, alpha, beta) for the band-measure
@@ -279,8 +278,8 @@ def verify_holder(
     with f nonzero a.e. would contradict identifiability.
     """
     require_same_grid(a, b)
-    sol_a = solve(a, f, bounds)
-    sol_b = solve(b, f, bounds)
+    sol_a = solve(a, f)
+    sol_b = solve(b, f)
     lhs = lp_norm(a - b, p)
     rhs = lp_norm(sol_a.du - sol_b.du, 2.0)
     eta = abs(sol_a.Ca - sol_b.Ca)
@@ -309,60 +308,39 @@ def verify_holder(
 # ---------------------------------------------------------------------------
 
 
-def _tail_terms(alpha_d: float, jmax: int) -> int:
-    """Truncation depth: deep enough that the dropped tail is below
-    1e-8 in the energy norm AND below 0.1% of the content remaining inside
-    the smallest perturbed interval S_jmax (otherwise measured gaps at large
-    j would reflect the truncation, not the scaling)."""
-    absolute = math.ceil(8.0 * math.log2(10.0) / (alpha_d - 0.5))
-    relative = jmax + math.ceil(3.0 * math.log2(10.0) / (alpha_d - 0.5))
-    return max(absolute, relative) + 1
-
-
 @dataclass(frozen=True)
 class DyadicFamily:
     """Parameters of the multiscale example on (-1, 1).
 
-    alpha_d > 1/2 is the amplitude decay of the scales, beta_d <= 0 keeps the
-    perturbed coefficients inside [1, 2] and jmax caps the perturbation index.
+    alpha_d > 1/2 is the amplitude decay of the scales and beta_d <= 0 keeps
+    the perturbed coefficients a_j inside [1, 2] for every j >= 0.
     Construction rejects any other value, NaN included, so every builder and
-    rate below may rely on alpha_d > 1/2 + beta_d.
-    K_trunc, the number of scales kept, is derived as _tail_terms(alpha_d,
-    jmax): the dropped tail is below 1e-8 in the energy norm.
+    rate below may rely on alpha_d > 1/2 + beta_d. The family has no
+    truncation depth: dyadic_profile sums every scale the grid can hold.
     """
 
     alpha_d: float
     beta_d: float
-    jmax: int = 12
-    K_trunc: int = field(init=False)
 
     def __post_init__(self):
         if not self.alpha_d > 0.5:
             raise ValueError("alpha_d must exceed 1/2")
-        if self.jmax < 1:
-            raise ValueError("jmax must be positive")
         if not self.beta_d <= 0:
             raise ValueError("beta_d must be <= 0")
-        object.__setattr__(self, "K_trunc", _tail_terms(self.alpha_d, self.jmax))
 
 
-def _bump(y: np.ndarray) -> np.ndarray:
-    """Smooth bump supported on (1/2, 1): exp(-1/((y - 1/2)(1 - y)))."""
+def _bump(y: np.ndarray) -> tuple:
+    """Smooth bump supported on (1/2, 1), exp(-1/g) with g = (y - 1/2)(1 - y),
+    and its derivative exp(-1/g) g'/g^2, from one exp."""
     out = np.zeros_like(y)
-    m = (y > 0.5) & (y < 1.0)
-    g = (y[m] - 0.5) * (1.0 - y[m])
-    out[m] = np.exp(-1.0 / g)
-    return out
-
-
-def _bump_derivative(y: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(y)
+    d_out = np.zeros_like(y)
     m = (y > 0.5) & (y < 1.0)
     ym = y[m]
     g = (ym - 0.5) * (1.0 - ym)
-    gp = 1.5 - 2.0 * ym
-    out[m] = np.exp(-1.0 / g) * gp / (g * g)
-    return out
+    e = np.exp(-1.0 / g)
+    out[m] = e
+    d_out[m] = e * (1.5 - 2.0 * ym) / (g * g)
+    return out, d_out
 
 
 def dyadic_profile(fam: DyadicFamily, n: int) -> tuple:
@@ -370,7 +348,7 @@ def dyadic_profile(fam: DyadicFamily, n: int) -> tuple:
 
     u(x) = sum_k 2^{-alpha_d k} bump(2^k |x|); the scale supports
     (2^{-k-1}, 2^{-k}) are disjoint. du is assembled from the analytic series
-    derivative (odd extension).
+    derivative (odd extension). Both are the full series at every node.
 
     Scale k is evaluated only on the nodes with |x| <= 2^{-k}: outside that
     window it is exactly 0, and adding +0.0 to a sum that started at +0.0
@@ -378,7 +356,7 @@ def dyadic_profile(fam: DyadicFamily, n: int) -> tuple:
     k = n.bit_length() the window holds only the middle node, which linspace
     puts at 0 or -2^-53; there 2^k |x| is 0 or a power of two, outside the
     bump's open support, so every further term is +0.0. The loop stops there,
-    and 2^k stays finite however large K_trunc is.
+    and 2^k stays finite whatever alpha_d is.
     """
     if n % 2:
         raise ValueError("n must be even so that x = 0 is a node")
@@ -387,20 +365,20 @@ def dyadic_profile(fam: DyadicFamily, n: int) -> tuple:
     ax = np.abs(x)
     u = np.zeros_like(x)
     du_abs = np.zeros_like(x)
-    for k in range(min(fam.K_trunc, n.bit_length()) + 1):
+    for k in range(n.bit_length() + 1):
         half = 2.0 ** (-k)
         lo, hi = np.searchsorted(x, -half, "left"), np.searchsorted(x, half, "right")
-        y = (2.0**k) * ax[lo:hi]
-        u[lo:hi] += 2.0 ** (-fam.alpha_d * k) * _bump(y)
-        du_abs[lo:hi] += 2.0 ** ((1.0 - fam.alpha_d) * k) * _bump_derivative(y)
+        b, db = _bump((2.0**k) * ax[lo:hi])
+        u[lo:hi] += 2.0 ** (-fam.alpha_d * k) * b
+        du_abs[lo:hi] += 2.0 ** ((1.0 - fam.alpha_d) * k) * db
     du = np.sign(x) * du_abs
     return GridFunction1D(iv, u), GridFunction1D(iv, du)
 
 
 def dyadic_coefficient(fam: DyadicFamily, j: int, n: int) -> GridFunction1D:
     """a_j = 1 + 2^{beta_d j} on S_j = (-2^{-j}, 2^{-j}), 1 elsewhere."""
-    if j < 0 or j > fam.jmax:
-        raise ValueError(f"j must lie in [0, {fam.jmax}]")
+    if j < 0:
+        raise ValueError(f"j must be nonnegative, got {j}")
     iv = Interval(-1.0, 1.0)
     x = np.linspace(-1.0, 1.0, n + 1)
     half_width = 2.0 ** (-j)

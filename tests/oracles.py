@@ -28,7 +28,7 @@ from scipy.linalg import solve_banded
 from scipy.sparse.linalg import splu
 
 from coeffid.grids import GridFunction1D, fmt_float
-from coeffid.stability import _bump, _bump_derivative
+from coeffid.stability import _bump
 
 
 def fd_solve(a: GridFunction1D, f: GridFunction1D) -> GridFunction1D:
@@ -391,15 +391,16 @@ def flux_recover(du: GridFunction1D, F: GridFunction1D, lam: float, Lam: float,
             "candidates": tuple(sorted(candidates))}
 
 
-def dyadic_profile(alpha_d: float, K_trunc: int, n: int) -> tuple:
-    """(u, du) of the dyadic family with every scale evaluated over every
-    node: the reference for coeffid.stability.dyadic_profile."""
+def dyadic_profile(alpha_d: float, scales: int, n: int) -> tuple:
+    """(u, du) of the dyadic family summed over scales 0..scales with every
+    scale evaluated over every node: the reference for
+    coeffid.stability.dyadic_profile."""
     x = np.linspace(-1.0, 1.0, n + 1)
     ax = np.abs(x)
     u = np.zeros_like(x)
     du_abs = np.zeros_like(x)
-    for k in range(K_trunc + 1):
-        y = (2.0**k) * ax
-        u += 2.0 ** (-alpha_d * k) * _bump(y)
-        du_abs += 2.0 ** ((1.0 - alpha_d) * k) * _bump_derivative(y)
+    for k in range(scales + 1):
+        b, db = _bump((2.0**k) * ax)
+        u += 2.0 ** (-alpha_d * k) * b
+        du_abs += 2.0 ** ((1.0 - alpha_d) * k) * db
     return u, np.sign(x) * du_abs

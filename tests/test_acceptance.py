@@ -13,7 +13,14 @@ from coeffid.cli import main as cli_main
 from coeffid.counterexamples import inhomogeneous_pair, volterra_pair
 from coeffid.forward import solve, solve_from_primitive
 from coeffid.gmt import coarea_check, good_levels, level_perimeter
-from coeffid.grids import CoefficientBounds, GridFunction1D, Interval, lp_norm, quadrature
+from coeffid.grids import (
+    CoefficientBounds,
+    GridFunction1D,
+    Interval,
+    admissible,
+    lp_norm,
+    quadrature,
+)
 from coeffid.inverse import recover
 from coeffid.pw2d import (
     Partition2D,
@@ -101,7 +108,8 @@ def test_criterion_03_holder_exponents_and_constants():
         knots = np.linspace(0.0, 1.0, 5)
         a = GridFunction1D(UNIT, np.interp(x, knots, rng.uniform(0.6, 1.9, 5)))
         b = GridFunction1D(UNIT, np.interp(x, knots, rng.uniform(0.6, 1.9, 5)))
-        rep = verify_holder(a, b, f, 2.0, 1.0, 1.0, bounds=BOUNDS)
+        assert admissible(a, BOUNDS) and admissible(b, BOUNDS)
+        rep = verify_holder(a, b, f, 2.0, 1.0, 1.0)
         assert rep.exponent == pytest.approx(2.0 / 9.0)
         consts.append(rep.constant_needed)
     baseline = max(consts)

@@ -136,6 +136,17 @@ def test_coarea_subcommand(tmp_path):
     assert rep["metrics"]["n_good_levels"] > 0
 
 
+def test_coarea_start_below_level_floor_exit_2(tmp_path, capsys):
+    # a start at or below the 1e-9 floor scans no level: a usage error, not a
+    # violated TV budget
+    out = tmp_path / "c"
+    assert run(["coarea", "--h", "linear:0,1", "--n", "64", "--t-start", "1e-10",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: t_start")
+    assert not out.exists()
+
+
 def test_pw2d_verify_subcommand(tmp_path):
     out = tmp_path / "pw"
     code = run(["pw2d", "verify", "--nx", "2", "--ny", "2", "--m", "16",
@@ -479,8 +490,8 @@ def test_dyadic_zero_gamma_exit_2(tmp_path, capsys):
 
 
 def test_dyadic_alpha_near_half_no_overflow(tmp_path, capsys):
-    # alpha = 0.51 keeps over a thousand scales (K_trunc > 1023), where 2^k
-    # would overflow; scales finer than the grid are never formed
+    # at alpha = 0.51 the terms 2^{-alpha k} decay slowly, but the profile
+    # stops at the last scale the grid resolves, so 2^k never overflows
     out = tmp_path / "dh"
     argv = ["dyadic", "--alpha", "0.51", "--beta", "0", "--p", "1", "--n", "1024"]
     assert run(argv + ["--jmax", "4", "--out", str(out)]) == 2

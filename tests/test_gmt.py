@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coeffid.gmt import (
+    LEVEL_FLOOR,
     _perimeters_between_events,
     coarea_check,
     coarea_integral,
@@ -165,6 +166,15 @@ def test_good_levels_validation():
         good_levels(h, 1.5)
     with pytest.raises(ValueError):
         good_levels(GridFunction1D.const(-1.0, UNIT, 16), 0.5)
+
+
+def test_good_levels_rejects_start_at_or_below_floor():
+    # the scan runs only while t > LEVEL_FLOOR: such a start scans no level
+    h = from_fn(lambda x: x, 64)
+    for t_start in (LEVEL_FLOOR, 1e-10, 0.0, math.nan):
+        with pytest.raises(ValueError, match="t_start"):
+            good_levels(h, t_start)
+    assert good_levels(h, 2.0 * LEVEL_FLOOR) == [2.0 * LEVEL_FLOOR]
 
 
 @settings(max_examples=20, deadline=None)

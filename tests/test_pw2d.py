@@ -390,6 +390,19 @@ def test_recover_constant_truth_snaps_immediately():
     assert np.abs(res.coeff.coeffs - 1.0).max() < 1e-3
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_field_rejected_before_lapack(bad, capfd):
+    # LAPACK prints to fd 2 when handed a NaN; the check comes first
+    part = Partition2D(2, 2)
+    u_meas = fem_solve(const_coeff(1.0, part), 1.0, 16)
+    u_meas[5, 7] = bad
+    with pytest.raises(ValueError, match="u_meas must be finite"):
+        recover_pw(u_meas, 1.0, part, BOUNDS, 16)
+    with pytest.raises(ValueError, match="must be finite"):
+        grad_norm_by_block(u_meas, part, 16)
+    assert capfd.readouterr().err == ""
+
+
 def test_recover_degenerate_source_warns():
     part = Partition2D(2, 2)
     res = recover_pw(np.zeros((33, 33)), 0.0, part, BOUNDS, 32)

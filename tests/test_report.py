@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 import oracles
 from coeffid import text
 from coeffid.grids import GridFunction1D, Interval
-from coeffid.report import ExperimentReport, canonical_json
+from coeffid.report import ExperimentReport, canonical_json, json_chunks
 
 MAX = 1.7976931348623157e308
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
@@ -61,6 +61,7 @@ def test_report_matches_oracle(curves, scalar, big):
         assert b"".join(rep.csv_chunks(memo, printed)).decode() == csv_ref
         assert canonical_json({"again": list(curves.values())}, memo) == \
             oracles.canonical_json({"again": list(curves.values())})
+        assert b"".join(json_chunks(rep.json_dict(), memo)) == json_ref.encode()
 
 
 @settings(max_examples=100)
@@ -68,6 +69,26 @@ def test_report_matches_oracle(curves, scalar, big):
 def test_nested_arrays_match_oracle(arr):
     obj = {"field": arr, "row": arr[0], "tuple": tuple(arr[:, 0])}
     assert canonical_json(obj) == oracles.canonical_json(obj)
+    assert b"".join(json_chunks(obj, {})) == canonical_json(obj).encode()
+
+
+def test_json_chunks_share_the_memo_column():
+    # the report and an extra file of one run print the same column: both
+    # hold the memo's one bytes object, and the pieces are ASCII bytes
+    g = GridFunction1D(Interval(0.0, 1.0), np.linspace(0.0, 1.0, 65) ** 3)
+    rep = ExperimentReport(name="r", inputs={"f": "const:1", "big": 2**70},
+                           metrics={"nan": np.nan, "inf": -np.inf, "ok": True, "no": np.bool_(0)},
+                           curves={"x": g.x, "u": g.values, "k": np.arange(65),
+                                   "nested": [[1.5, [2, None]], ("a", np.float64(3.0))]})
+    memo: dict = {}
+    report_pieces = json_chunks(rep.json_dict(), memo)
+    file_pieces = json_chunks(g.to_json_dict(), memo)
+    column = memo[id(g.values)][1]
+    assert any(piece is column for piece in report_pieces)
+    assert any(piece is column for piece in file_pieces)
+    assert all(type(piece) is bytes and piece.isascii() for piece in report_pieces)
+    assert b"".join(report_pieces) == rep.to_json().encode()
+    assert b"".join(file_pieces) == canonical_json(g.to_json_dict()).encode()
 
 
 def test_unequal_curves_rejected():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from coeffid import stability
 from coeffid.forward import primitive, solve_from_primitive
-from coeffid.grids import CoefficientBounds, GridFunction1D, Interval, lp_norm
+from coeffid.grids import CoefficientBounds, GridFunction1D, Interval, admissible, lp_norm
 from coeffid.stability import (
     DyadicFamily,
     dyadic_coefficient,
@@ -24,6 +24,7 @@ from coeffid.stability import (
 )
 
 from oracles import band_measure_per_cell, quadratic_band_measure
+from oracles import dyadic_profile as dyadic_profile_oracle
 
 UNIT = Interval(0.0, 1.0)
 
@@ -294,13 +295,15 @@ def test_verify_holder_bounded_over_random_pairs():
     f = GridFunction1D.const(1.0, UNIT, n)
     fit = _unit_fit()
     x = np.linspace(0.0, 1.0, n + 1)
+    bounds = CoefficientBounds(0.5, 2.0)
     consts = []
     for _ in range(25):
         ca = rng.uniform(0.6, 1.9, 3)
         cb = rng.uniform(0.6, 1.9, 3)
         a = GridFunction1D(UNIT, np.interp(x, [0.0, 0.5, 1.0], ca))
         b = GridFunction1D(UNIT, np.interp(x, [0.0, 0.5, 1.0], cb))
-        rep = verify_holder(a, b, f, 2.0, fit.alpha, fit.beta, bounds=CoefficientBounds(0.5, 2.0))
+        assert admissible(a, bounds) and admissible(b, bounds)
+        rep = verify_holder(a, b, f, 2.0, fit.alpha, fit.beta)
         consts.append(rep.constant_needed)
     assert np.isfinite(max(consts))
 
@@ -321,8 +324,15 @@ def test_verify_holder_flags_violation_on_degenerate_source():
 
 
 def test_dyadic_family_tail_bound_enforced():
-    fam = DyadicFamily(alpha_d=2.0, beta_d=0.0)
-    assert 2.0 ** (-(fam.alpha_d - 0.5) * fam.K_trunc) < 1e-8
+    # no tail is dropped: eight scales past the profile's loop, each summed
+    # over every node, change no bit of u or du
+    for alpha_d in (0.55, 4.0, 6.0):
+        fam = DyadicFamily(alpha_d=alpha_d, beta_d=0.0)
+        for n in (1000, 2**16):
+            u, du = dyadic_profile(fam, n)
+            u_ref, du_ref = dyadic_profile_oracle(alpha_d, n.bit_length() + 8, n)
+            assert u.values.tobytes() == u_ref.tobytes()
+            assert du.values.tobytes() == du_ref.tobytes()
     with pytest.raises(ValueError, match="alpha_d"):
         DyadicFamily(alpha_d=0.5, beta_d=0.0)
 

@@ -6,7 +6,8 @@ The sweep holds N random bit patterns (the finite ones), every power of ten
 from 1e-323 to 1e308 with both neighbours, subnormals, +-0, the integers
 near 2^53, odd * 2^-s values whose 17-digit rounding is an exact tie, doubles
 within 1e-15 of such a tie, and np.linspace(0, 1, 65537). Each value must render to the bytes of
-"%.17g" % v, in a ", "-joined array and in two-column CSV rows. The script
+"%.17g" % v, in a ", "-joined array, in two-column CSV rows and in the
+", "-joined text that text.csv returns for each column. The script
 prints the number of values and of uncertified ones (formatted by "%.17g"
 itself) and exits 1 on any mismatch. The reference is the "%.17g" of the
 Python that runs it.
@@ -80,18 +81,30 @@ def uncertified(values: np.ndarray) -> int:
     return int(np.count_nonzero(~text._decimal(a)[2]))
 
 
+def drain(gen) -> tuple:
+    """The chunks a generator yields, joined, and the value it returns."""
+    chunks = []
+    while True:
+        try:
+            chunks.append(next(gen))
+        except StopIteration as stop:
+            return b"".join(chunks), stop.value
+
+
 def mismatches(values: np.ndarray) -> list:
     """Values whose rendering differs from "%.17g", alone, joined by ", " or
-    in CSV rows beside the reversed column."""
+    in CSV rows beside the reversed column, and a note for each joined text
+    of the CSV pass that differs."""
     ref = [b"%.17g" % v for v in values.tolist()]
     got = text.join(values).split(b", ")
     bad = [v for v, g, r in zip(values.tolist(), got, ref) if g != r]
     if len(got) != len(ref):
         bad.append("joined length")
-    rows = b"".join(text.rows(words, end=b"\r\n")
-                    for words in text.iter_words([values, values[::-1]]))
+    rows, joined = drain(text.csv([values, values[::-1]], end=b"\r\n", joined=[0, 1]))
     if rows != b"".join(b"%s,%s\r\n" % pair for pair in zip(ref, ref[::-1])):
         bad.append("csv rows")
+    if joined != [b", ".join(ref), b", ".join(ref[::-1])]:
+        bad.append("csv joined text")
     return bad
 
 

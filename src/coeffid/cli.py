@@ -60,7 +60,10 @@ def _parse_grid_function(literal: str, interval: Interval, n: int) -> GridFuncti
     if kind == "const":
         return GridFunction1D.const(float(rest), interval, n)
     if kind == "linear":
-        c0, c1 = (float(t) for t in rest.split(","))
+        terms = rest.split(",")
+        if len(terms) != 2:
+            raise ValueError(f"malformed function literal {literal!r}: expected linear:c0,c1")
+        c0, c1 = map(float, terms)
         return GridFunction1D.from_callable(lambda x: c0 + c1 * x, interval, n)
     # the kind picks the parser, whatever the file's suffix
     if kind == "csv":
@@ -85,16 +88,6 @@ def _argv_without_out(argv) -> list:
     return kept
 
 
-def _array_ids(obj) -> set:
-    """The ids of the arrays json_chunks(obj, memo) prints: obj itself or those
-    inside its dicts, lists and tuples."""
-    if isinstance(obj, np.ndarray):
-        return {id(obj)}
-    if isinstance(obj, dict):
-        obj = list(obj.values())
-    return set().union(*map(_array_ids, obj)) if isinstance(obj, (list, tuple)) else set()
-
-
 def _emit(args, report: ExperimentReport, extra: dict) -> None:
     """Print the report, or write it with the extra {filename: object} files
     as canonical JSON and a manifest of their checksums into --out."""
@@ -104,15 +97,12 @@ def _emit(args, report: ExperimentReport, extra: dict) -> None:
     stem = "_".join(filter(None, (args.command, getattr(args, "kind", None))))
     # one memo for the files of the run: each float column is rendered once
     memo: dict = {}
-    printed = _array_ids(extra)
-    if args.fmt in ("json", "both"):
-        printed |= {id(c) for c in report.curves.values()}
 
     def render():
         # the CSV goes first: its rows fill the memo with the JSON text of
-        # every finite float curve that a JSON file prints
+        # every finite float curve
         if args.fmt in ("csv", "both") and report.curves:
-            yield f"{stem}.csv", report.csv_chunks(memo, printed)
+            yield f"{stem}.csv", report.csv_chunks(memo)
         if args.fmt in ("json", "both"):
             yield f"{stem}.json", json_chunks(report.json_dict(), memo)
         for name, obj in extra.items():

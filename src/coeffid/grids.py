@@ -194,8 +194,7 @@ class GridFunction1D:
         coeffid.text one chunk of rows per write."""
         with open(path, "wb") as fh:
             fh.write(b"x,value\r\n")
-            for words in text.iter_words((self.x, self.values)):
-                fh.write(text.rows(words, end=b"\r\n"))
+            fh.writelines(text.csv((self.x, self.values), end=b"\r\n"))
 
     @classmethod
     def from_csv(cls, path) -> "GridFunction1D":
@@ -315,7 +314,7 @@ def admissible(a: GridFunction1D, bounds: CoefficientBounds) -> bool:
     return bool(np.all((v >= bounds.lam) & (v <= bounds.Lam)))
 
 
-def indicator_values(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+def indicator_values(x: np.ndarray, lo: float, hi: float, ends=None) -> np.ndarray:
     """Nodal sampling of the indicator of the interval (lo, hi) on the grid x.
 
     Nodes strictly inside get 1, nodes exactly on the boundary get 1/2, so the
@@ -323,12 +322,14 @@ def indicator_values(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     land on grid nodes. An edge on the grid's end nodes x[0] or x[-1] counts
     as interior, so those nodes get 1 (the indicator is an almost-everywhere
     object; the half-value convention only matters at genuine internal jumps).
+    The edge tolerance is 1e-13 of the grid's span. ends, (x[0], x[-1]) by
+    default, are the grid's end nodes when x is a window of a larger grid.
     """
+    first, last = (x[0], x[-1]) if ends is None else ends
     v = np.where((x > lo) & (x < hi), 1.0, 0.0)
-    span = x[-1] - x[0]
-    tol = span * 1e-13
+    tol = (last - first) * 1e-13
     for edge in (lo, hi):
-        if abs(edge - x[0]) <= tol or abs(edge - x[-1]) <= tol:
+        if abs(edge - first) <= tol or abs(edge - last) <= tol:
             v[np.abs(x - edge) <= tol] = 1.0
         else:
             v[np.abs(x - edge) <= tol] = 0.5

@@ -7,14 +7,14 @@ inputs produce identical bytes.
 
 Rendered JSON is ASCII bytes throughout: json_chunks returns it as a list of
 byte strings, which the CLI writes and hashes one at a time, and only
-canonical_json and to_json join and decode it to str. Float columns are
-rendered by coeffid.text, which gives the bytes of "%.17g" for a whole array
-at a time. A 1-D float64 array renders once per memo as its ", "-joined
-bytes, keyed by the array's identity, so the JSON report and the extra files
-of one CLI run share one bytes object. The CSV curves are rendered from the
-same slot words: csv_chunks puts the joined bytes of each finite float64
-curve that a JSON file of the run prints into the memo as it writes the
-rows, so a curve written to three files is formatted once.
+to_json joins and decodes it to str. Float columns are rendered by
+coeffid.text, which gives the bytes of "%.17g" for a whole array at a time.
+A 1-D float64 array renders once per memo as its ", "-joined bytes, keyed
+by the array's identity, so the JSON report and the extra files of one CLI
+run share one bytes object. csv_chunks writes the CSV curves with text.csv
+and puts the joined bytes of each finite float64 curve, taken from the same
+rendering, into the memo, so a curve written to three files is formatted
+once.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from . import text
 from .grids import fmt_float
 
-__all__ = ["ExperimentReport", "canonical_json", "json_chunks"]
+__all__ = ["ExperimentReport", "json_chunks"]
 
 def _float_column(arr: np.ndarray, memo: dict) -> bytes:
     """The values of a 1-D float64 array as "%.17g" text joined by ", ",
@@ -90,11 +90,6 @@ def json_chunks(obj, memo: dict) -> list:
     return out
 
 
-def canonical_json(obj, memo: dict | None = None) -> str:
-    """Canonical JSON text of obj: json_chunks joined."""
-    return b"".join(json_chunks(obj, {} if memo is None else memo)).decode()
-
-
 @dataclass
 class ExperimentReport:
     """Record of one verification run: inputs, scalar metrics, tabular curves,
@@ -112,37 +107,26 @@ class ExperimentReport:
         return {"name": self.name, "inputs": self.inputs, "metrics": self.metrics,
                 "curves": self.curves, "passed": self.passed, "notes": self.notes}
 
-    def to_json(self, memo: dict | None = None) -> str:
-        return canonical_json(self.json_dict(), memo)
+    def to_json(self) -> str:
+        """The canonical JSON text of json_dict."""
+        return b"".join(json_chunks(self.json_dict(), {})).decode()
 
-    def csv_chunks(self, memo: dict | None = None, printed=()):
+    def csv_chunks(self, memo: dict):
         """The curves as CSV bytes, a header of curve names and then one row
         per index with every value at 17 significant digits (bools as 1/0,
-        non-finite values as inf/nan), one chunk of rows at a time. printed
-        holds the ids of the arrays a JSON text rendered with memo will
-        print: each finite 1-D float64 curve among them that the memo lacks
-        gets its ", "-joined text from the same rendering once the last chunk
-        is out, so to_json and canonical_json with that memo format it no
-        more. Curves no JSON text prints are not joined."""
+        non-finite values as inf/nan), one chunk of rows at a time. Each
+        finite 1-D float64 curve that the memo lacks gets its ", "-joined
+        text from the same rendering once the last chunk is out, so
+        json_chunks with that memo formats it no more."""
         if not self.curves:
             return
-        cols = [np.asarray(c, dtype=float).ravel() for c in self.curves.values()]
+        curves = list(self.curves.values())
+        cols = [np.asarray(c, dtype=float).ravel() for c in curves]
         if any(c.size != cols[0].size for c in cols):
             raise ValueError("curve columns must have equal length")
-        joined = {id(c): (c, j, []) for j, c in enumerate(self.curves.values())
-                  if id(c) in printed and id(c) not in memo and _is_float_column(c)
-                  and np.isfinite(c).all()}
+        wanted = [j for j, c in enumerate(curves)
+                  if id(c) not in memo and _is_float_column(c) and np.isfinite(c).all()]
         yield ",".join(self.curves).encode() + b"\n"
-        for words in text.iter_words(cols):
-            # each JSON text copies its column before rows ORs in the CSV separators
-            for _, j, parts in joined.values():
-                parts.append(text.join_words(words[:, j]))
-            yield text.rows(words)
-        for key, (c, _, parts) in joined.items():
-            memo[key] = (c, b", ".join(parts))
-            parts.clear()
-
-    def curves_csv(self) -> str:
-        """The curves as CSV text, csv_chunks joined. The CLI writes the
-        chunks of csv_chunks instead, one at a time."""
-        return b"".join(self.csv_chunks()).decode()
+        joined = yield from text.csv(cols, joined=wanted)
+        for j, t in zip(wanted, joined):
+            memo[id(curves[j])] = (curves[j], t)

@@ -23,8 +23,10 @@ by moving the digits after it up one byte. The rows of several columns sit
 side by side, _CHUNK values at a time, with the separator bytes left at 0.
 ORing "," and the line end into them and dropping the zeros with
 bytes.translate gives whole CSV rows; ORing ", " into a copy of one
-column's slots gives that column as a JSON array's text. So one rendering of
-a column feeds both its CSV rows and its JSON text.
+column's slots gives that column as a JSON array's text. csv yields the rows
+and returns the joined text of the columns asked for, so one rendering of a
+column feeds both its CSV rows and its JSON text; join is csv of one column
+with ", " for the line end.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["iter_words", "rows", "join_words", "join"]
+__all__ = ["csv", "join"]
 
 _CHUNK = 16384
 # error allowance of the double-double product outside the exact range
@@ -206,39 +208,39 @@ def _words(x: np.ndarray, out: np.ndarray) -> None:
         out[i].view(np.uint8)[:len(text)] = np.frombuffer(text, dtype=np.uint8)
 
 
-def iter_words(columns):
-    """The slot words of equal-length float64 columns, one chunk of at most
-    _CHUNK values at a time: an array (rows, len(columns), 4) whose
-    separator bytes are 0. The array is reused from chunk to chunk, so take
-    what is needed from it before the next."""
+def _rows(words: np.ndarray, seps: np.ndarray) -> bytes:
+    """The text of slot words (rows, columns, 4), each value followed by its
+    column's separator word in seps, ORed into words in place."""
+    words[:, :, 3] |= seps
+    return words.tobytes().translate(None, b"\0")
+
+
+_JOIN = np.array([_at(b", ", 6)], dtype=_U64)
+
+
+def csv(columns, end=b"\n", joined=None):
+    """CSV rows of equal-length float64 columns, one chunk of at most _CHUNK
+    values at a time: the values of a row joined by ",", each row followed
+    by end (at most two bytes). joined lists column indices; once the last
+    chunk is out the generator returns the ", "-joined text of each, taken
+    from the same rendering (an empty list when joined is None)."""
     cols = [np.asarray(c, dtype=np.float64) for c in columns]
     step = max(1, _CHUNK // len(cols))
     words = np.empty((min(step, cols[0].size), len(cols), 4), dtype=_U64)
+    seps = np.array([_at(b",", 6)] * (len(cols) - 1) + [_at(end, 6)], dtype=_U64)
+    parts = [(j, []) for j in joined or ()]
     for i in range(0, cols[0].size, step):
         # row-major values, so the rows of words are the rows of text
         x = np.stack([c[i:i + step] for c in cols], axis=1).ravel()
         out = words[:x.size // len(cols)]
         _words(x, out.reshape(-1, 4))
-        yield out
-
-
-def rows(words: np.ndarray, end: bytes = b"\n") -> bytes:
-    """CSV rows from a chunk of iter_words: the values of a row joined by
-    ",", each row followed by end (at most two bytes). The separators are
-    ORed into words in place."""
-    words[:, :, 3] |= np.array([_at(b",", 6)] * (words.shape[1] - 1) + [_at(end, 6)],
-                               dtype=_U64)
-    return words.tobytes().translate(None, b"\0")
-
-
-def join_words(words: np.ndarray) -> bytes:
-    """The values of one column's slot words (rows, 4), separator bytes 0,
-    joined by ", ", with none after the last. The words are not changed."""
-    w = words.copy()
-    w[:-1, 3] |= np.uint64(_at(b", ", 6))
-    return w.tobytes().translate(None, b"\0")
+        for j, texts in parts:
+            # indexing by [j] copies the column, so the CSV separators stay out
+            texts.append(_rows(out[:, [j]], _JOIN))
+        yield _rows(out, seps)
+    return [b"".join(texts)[:-2] for _, texts in parts]
 
 
 def join(values: np.ndarray) -> bytes:
     """The "%.17g" text of each value of a float64 array, joined by ", "."""
-    return b", ".join(join_words(words[:, 0]) for words in iter_words([values]))
+    return b"".join(csv([values], end=b", "))[:-2]

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from scipy.linalg import solve_banded
 from scipy.sparse.linalg import splu
 
-from coeffid.grids import GridFunction1D, fmt_float
+from coeffid.grids import GridFunction1D, fmt_float, indicator_values
 from coeffid.stability import _bump
 
 
@@ -285,7 +285,7 @@ def _render(obj, out: list) -> None:
 
 def canonical_json(obj) -> str:
     """Canonical JSON rendered element by element: the reference for
-    coeffid.report.canonical_json."""
+    coeffid.report.json_chunks."""
     out: list = []
     _render(obj, out)
     return "".join(out)
@@ -293,7 +293,7 @@ def canonical_json(obj) -> str:
 
 def curves_csv(curves: dict) -> str:
     """The CSV of a report's curves, one fmt_float per value: the reference
-    for ExperimentReport.curves_csv."""
+    for ExperimentReport.csv_chunks."""
     if not curves:
         return ""
     keys = list(curves.keys())
@@ -315,6 +315,16 @@ def grid_csv(g: GridFunction1D, path) -> None:
         w.writerow(["x", "value"])
         for xi, vi in zip(g.x, g.values):
             w.writerow([fmt_float(xi), fmt_float(vi)])
+
+
+def interval_set_indicator(S, x: np.ndarray) -> np.ndarray:
+    """The nodal indicator of an IntervalSet's union, one full-grid
+    indicator_values pass per member: the reference for
+    IntervalSet.indicator."""
+    v = np.zeros_like(x)
+    for a, b in S.intervals:
+        v += indicator_values(x, float(a), float(b))
+    return np.clip(v, 0.0, 1.0)
 
 
 def cumtrapz(values: np.ndarray, h: float) -> np.ndarray:

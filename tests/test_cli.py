@@ -254,23 +254,23 @@ def test_forward_renders_each_float_column_once(tmp_path, monkeypatch):
     assert sum(seen) == 4 * (n + 1)
 
 
-def test_forward_csv_joins_only_what_a_json_file_prints(tmp_path, monkeypatch):
-    # --format csv writes no forward.json, so x reaches no JSON file: only u,
-    # du and F, which solution.json prints, get their ", "-joined text, and
-    # the files match those of a --format both run byte for byte
+def test_forward_csv_renders_each_float_column_once(tmp_path, monkeypatch):
+    # --format csv writes forward.csv and solution.json: x, u, du and F each
+    # pass through the float text kernel once, and the files match those of
+    # a --format both run byte for byte
     n = 300
     argv = ["forward", "--n", str(n), "--a", "linear:1.2,0.3", "--f", "const:1.7"]
     assert run(argv + ["--out", str(tmp_path / "both")]) == 0
-    join_words = text.join_words
-    joined = []
+    words = text._words
+    seen = []
 
-    def counted(words):
-        joined.append(len(words))
-        return join_words(words)
+    def counted(x, out):
+        seen.append(x.size)
+        return words(x, out)
 
-    monkeypatch.setattr(text, "join_words", counted)
+    monkeypatch.setattr(text, "_words", counted)
     assert run(argv + ["--format", "csv", "--out", str(tmp_path / "csv")]) == 0
-    assert sum(joined) == 3 * (n + 1)
+    assert sum(seen) == 4 * (n + 1)
     for name in ("forward.csv", "solution.json"):
         assert (tmp_path / "csv" / name).read_bytes() == (tmp_path / "both" / name).read_bytes()
 
@@ -430,6 +430,13 @@ def test_empty_data_literal_exit_2(argv, capsys):
     assert "malformed function literal" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal", ["linear:1", "linear:1,2,3"])
+def test_linear_literal_needs_two_numbers(literal, capsys):
+    assert run(["forward", "--n", "8", "--a", literal, "--f", "const:1"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: malformed function literal {literal!r}: expected linear:c0,c1\n"
+
+
 @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
 def test_holder_needs_both_exponents_or_neither(flag, capsys):
     code = run(["holder", "--a", "const:1", "--b", "const:1.5", "--f", "const:1", "--p", "2",
@@ -566,8 +573,8 @@ def test_csv_kind_parses_any_suffix(tmp_path, monkeypatch):
 
 def _write_pinned_inputs(root):
     """Input files for the pinned runs; their own bytes are pinned too, so
-    this also covers GridFunction1D.to_csv and canonical_json of a grid."""
-    from coeffid.report import canonical_json
+    this also covers GridFunction1D.to_csv and json_chunks of a grid."""
+    from coeffid.report import json_chunks
 
     iv = Interval(0.0, 1.0)
     du = GridFunction1D.from_callable(lambda x: 0.6 - x + 0.1 * x**3, iv, 128)
@@ -576,8 +583,8 @@ def _write_pinned_inputs(root):
     du.to_csv(root / "du.csv")
     f.to_csv(root / "f.csv")
     u.to_csv(root / "u.csv")
-    (root / "du.json").write_text(canonical_json(du.to_json_dict()))
-    (root / "f.json").write_text(canonical_json(f.to_json_dict()))
+    (root / "du.json").write_bytes(b"".join(json_chunks(du.to_json_dict(), {})))
+    (root / "f.json").write_bytes(b"".join(json_chunks(f.to_json_dict(), {})))
     x = np.linspace(0.0, 1.0, 3 * 64 + 1)
     flat = np.where(x < 1 / 3, 1.0, 0.0) - np.where(x > 2 / 3, 1.0, 0.0)
     GridFunction1D(iv, flat).to_csv(root / "flat.csv")

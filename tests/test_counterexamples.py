@@ -4,6 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
+from coeffid import counterexamples
 from coeffid.counterexamples import (
     IntervalSet,
     inhomogeneous_pair,
@@ -107,6 +109,45 @@ def test_volterra_amp_zero_rejected_small_amp_ok():
 def test_volterra_under_resolved_grid_rejected():
     with pytest.raises(ValueError, match="resolve"):
         volterra_pair(3, 128, 0.5)
+
+
+@pytest.mark.parametrize("level, n, amp, match", [
+    (16, 2**15, 0.5, "resolve"),
+    (3, 2**15, 1.5, "bump_amp"),
+    (3, 2**15, 0.0, "bump_amp"),
+])
+def test_volterra_rejects_bad_input_before_building_the_set(level, n, amp, match, monkeypatch):
+    def unbuilt(level):
+        raise AssertionError("svc_set called")
+
+    monkeypatch.setattr(counterexamples, "svc_set", unbuilt)
+    with pytest.raises(ValueError, match=match):
+        volterra_pair(level, n, amp)
+
+
+def _nudged_grid(lo, hi, n):
+    """linspace(lo, hi, n + 1) with the interior nodes moved by up to 2e-13:
+    nodes land within and just outside the edge tolerance of the members."""
+    x = np.linspace(lo, hi, n + 1)
+    x[1:-1] += np.resize([-1.9e-13, -0.9e-13, 0.0, 0.9e-13, 1.9e-13], n - 1)
+    return x
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+def test_indicator_matches_full_grid_passes(level):
+    S = svc_set(level)
+    m = 8 * 4**level
+    grids = [np.linspace(0.0, 1.0, m + 1), np.linspace(0.0, 1.0, 3 * m + 1),
+             np.linspace(0.0, 1.0, m + 4), np.linspace(-0.25, 1.25, 2 * m + 1),
+             _nudged_grid(0.0, 1.0, m), _nudged_grid(-0.5, 1.0, 3 * m)]
+    for x in grids:
+        assert S.indicator(x).tobytes() == oracles.interval_set_indicator(S, x).tobytes()
+
+
+def test_volterra_b_is_the_full_grid_indicator():
+    pair = volterra_pair(4, 8 * 4**4, 0.5)
+    ref = 1.0 + 0.5 * oracles.interval_set_indicator(svc_set(4), pair.b.x)
+    assert pair.b.values.tobytes() == ref.tobytes()
 
 
 def test_volterra_recovery_masks_kept_set():

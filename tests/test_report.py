@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 import oracles
 from coeffid import text
 from coeffid.grids import GridFunction1D, Interval
-from coeffid.report import ExperimentReport, canonical_json, json_chunks
+from coeffid.report import ExperimentReport, json_chunks
 
 MAX = 1.7976931348623157e308
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
@@ -49,27 +49,27 @@ def test_report_matches_oracle(curves, scalar, big):
     json_ref = oracles.canonical_json({"name": "r", "inputs": rep.inputs, "metrics": rep.metrics,
                                        "curves": curves, "passed": True, "notes": ""})
     csv_ref = oracles.curves_csv(curves)
-    assert rep.curves_csv() == csv_ref
+    assert rep.to_json() == json_ref
     # one memo for the CSV rows, the JSON and a second file holding the same
     # arrays, filled by the CSV rows or by the JSON, whichever comes first
-    printed = {id(c) for c in curves.values()}
     for csv_first in (True, False):
         memo: dict = {}
         if csv_first:
-            assert b"".join(rep.csv_chunks(memo, printed)).decode() == csv_ref
-        assert rep.to_json(memo) == json_ref
-        assert b"".join(rep.csv_chunks(memo, printed)).decode() == csv_ref
-        assert canonical_json({"again": list(curves.values())}, memo) == \
-            oracles.canonical_json({"again": list(curves.values())})
+            assert b"".join(rep.csv_chunks(memo)).decode() == csv_ref
+            # the CSV pass holds the joined text of every finite float curve
+            assert memo.keys() == {id(c) for c in curves.values() if isinstance(c, np.ndarray)
+                                   and c.dtype == np.float64 and np.isfinite(c).all()}
         assert b"".join(json_chunks(rep.json_dict(), memo)) == json_ref.encode()
+        assert b"".join(rep.csv_chunks(memo)).decode() == csv_ref
+        assert b"".join(json_chunks({"again": list(curves.values())}, memo)).decode() == \
+            oracles.canonical_json({"again": list(curves.values())})
 
 
 @settings(max_examples=100)
 @given(st.integers(1, 6).flatmap(lambda r: arrays(np.float64, (r, 3), elements=any_float)))
 def test_nested_arrays_match_oracle(arr):
     obj = {"field": arr, "row": arr[0], "tuple": tuple(arr[:, 0])}
-    assert canonical_json(obj) == oracles.canonical_json(obj)
-    assert b"".join(json_chunks(obj, {})) == canonical_json(obj).encode()
+    assert b"".join(json_chunks(obj, {})) == oracles.canonical_json(obj).encode()
 
 
 def test_json_chunks_share_the_memo_column():
@@ -88,13 +88,13 @@ def test_json_chunks_share_the_memo_column():
     assert any(piece is column for piece in file_pieces)
     assert all(type(piece) is bytes and piece.isascii() for piece in report_pieces)
     assert b"".join(report_pieces) == rep.to_json().encode()
-    assert b"".join(file_pieces) == canonical_json(g.to_json_dict()).encode()
+    assert b"".join(file_pieces) == oracles.canonical_json(g.to_json_dict()).encode()
 
 
 def test_unequal_curves_rejected():
     rep = ExperimentReport(name="r", curves={"a": np.zeros(3), "b": np.zeros(4)})
     with pytest.raises(ValueError, match="equal length"):
-        rep.curves_csv()
+        b"".join(rep.csv_chunks({}))
 
 
 @settings(max_examples=50)
@@ -118,7 +118,25 @@ def test_csv_writers_match_oracles_across_chunks(tmp_path):
     oracles.grid_csv(g, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     curves = {"x": g.x, "value": g.values, "sign": g.values > 0, "k": np.arange(values.size)}
-    assert ExperimentReport(name="r", curves=curves).curves_csv() == oracles.curves_csv(curves)
+    rep = ExperimentReport(name="r", curves=curves)
+    assert b"".join(rep.csv_chunks({})).decode() == oracles.curves_csv(curves)
+
+
+def test_csv_joined_text_matches_join_across_chunks():
+    # three columns of 3 * 4096 + 7 rows take three chunks; the joined text
+    # text.csv returns for the requested columns is text.join's, and the rows
+    # are the oracle's, special and non-finite values included
+    rng = np.random.default_rng(6)
+    n = 3 * 4096 + 7
+    cols = [rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n) for _ in range(3)]
+    cols[0][::89] = np.resize(SPECIAL, cols[0][::89].size)
+    cols[2][::53] = np.resize(SPECIAL + NONFINITE, cols[2][::53].size)
+    assert sum(1 for _ in text.csv(cols)) == 3
+    rows, joined = sweep.drain(text.csv(cols, joined=[2, 0]))
+    assert joined == [text.join(cols[2]), text.join(cols[0])]
+    assert joined[0] == ", ".join(map(oracles.fmt_float, cols[2])).encode()
+    curves = {"a": cols[0], "b": cols[1], "c": cols[2]}
+    assert b"a,b,c\n" + rows == oracles.curves_csv(curves).encode()
 
 
 def _load_sweep():

@@ -324,13 +324,13 @@ def indicator_values(x: np.ndarray, lo: float, hi: float, ends=None) -> np.ndarr
     object; the half-value convention only matters at genuine internal jumps).
     The edge tolerance is 1e-13 of the grid's span. ends, (x[0], x[-1]) by
     default, are the grid's end nodes when x is a window of a larger grid.
+    lo and hi may also be arrays of x's shape: one interval per node.
     """
     first, last = (x[0], x[-1]) if ends is None else ends
     v = np.where((x > lo) & (x < hi), 1.0, 0.0)
     tol = (last - first) * 1e-13
     for edge in (lo, hi):
-        if abs(edge - first) <= tol or abs(edge - last) <= tol:
-            v[np.abs(x - edge) <= tol] = 1.0
-        else:
-            v[np.abs(x - edge) <= tol] = 0.5
+        near = np.flatnonzero(np.abs(x - edge) <= tol)
+        e = np.broadcast_to(edge, x.shape)[near]
+        v[near] = np.where((np.abs(e - first) <= tol) | (np.abs(e - last) <= tol), 1.0, 0.5)
     return v

@@ -338,15 +338,22 @@ def as_nodal_field(f, m: int) -> np.ndarray:
     if callable(f):
         xs = np.linspace(0.0, 1.0, m + 1)
         X, Y = np.meshgrid(xs, xs, indexing="xy")
-        arr = np.broadcast_to(np.asarray(f(X, Y), dtype=float), shape)
-    else:
-        arr = np.asarray(f, dtype=float)
-        if arr.ndim == 0:
-            arr = np.full(shape, float(arr))
-        elif arr.shape != shape:
-            raise ValueError(f"nodal field must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("source field must be finite")
+        f = np.broadcast_to(np.asarray(f(X, Y), dtype=float), shape)
+    elif np.ndim(f) == 0:
+        f = np.full(shape, f, dtype=float)
+    return _nodal_array(f, m, "source field")
+
+
+def _nodal_array(values, m: int, name: str) -> np.ndarray:
+    """values as a finite float array of shape (m+1, m+1), indexed [iy, ix].
+    Any other shape is rejected, never reshaped: a flat array of (m+1)^2
+    values does not say which way its rows run."""
+    arr = np.asarray(values, dtype=float)
+    shape = (m + 1, m + 1)
+    if arr.shape != shape:
+        raise ValueError(f"{name} must hold the {shape} mesh nodes, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
     return arr
 
 
@@ -363,11 +370,7 @@ def fem_solve(a: PwConstCoefficient, f, m: int) -> np.ndarray:
 def grad_norm_by_block(u: np.ndarray, partition: Partition2D, m: int) -> np.ndarray:
     """|grad u|_{L2(D_i)} per block for a nodal field u on (m+1)^2 nodes."""
     ws = _workspace(partition.nx, partition.ny, m)
-    v = np.asarray(u, dtype=float).ravel()
-    if v.size != ws.n_nodes:
-        raise ValueError(f"u has {v.size} nodes, the mesh has {ws.n_nodes}")
-    if not np.isfinite(v).all():
-        raise ValueError("u must be finite")
+    v = _nodal_array(u, m, "u").ravel()
     # half the squared leg difference per leg: h cancels on right isosceles triangles
     d = v[ws.tail] - v[ws.head]
     per_block = np.bincount(ws.leg_block, weights=0.5 * d * d, minlength=partition.n_blocks)
@@ -486,12 +489,8 @@ def recover_pw(
     values and a warning.
     """
     ws = _workspace(partition.nx, partition.ny, m)
-    u_flat = np.asarray(u_meas, dtype=float).ravel()
-    if u_flat.size != ws.n_nodes:
-        raise ValueError("u_meas does not match the mesh")
     # LAPACK would print to stderr on a NaN before lstsq raises
-    if not np.isfinite(u_flat).all():
-        raise ValueError("u_meas must be finite")
+    u_flat = _nodal_array(u_meas, m, "u_meas").ravel()
 
     nb = partition.n_blocks
     inner = ws.interior

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import hashlib
 import os
@@ -119,6 +120,28 @@ def test_counterexample_volterra(tmp_path):
     rep = json.loads((out / "counterexample_volterra.json").read_text())
     assert rep["metrics"]["residual_a"] < 1e-8
     assert rep["metrics"]["coeff_gap"] > 0.28
+
+
+def test_counterexample_passes_on_a_small_coefficient_gap(capsys):
+    # the certificate holds for any amp in (0, 1]: residuals 0, gap 0.05625
+    assert run(["counterexample", "volterra", "--amp", "0.1"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["passed"] is True
+    assert rep["metrics"]["coeff_gap"] == 0.1 * 0.5625
+
+
+def test_counterexample_failing_pair_writes_its_report_and_exits_1(tmp_path, monkeypatch):
+    from coeffid import cli
+
+    real = cli.volterra_pair
+    monkeypatch.setattr(cli, "volterra_pair",
+                        lambda *a: dataclasses.replace(real(*a), residual_b=1e-7))
+    out = tmp_path / "v"
+    assert run(["counterexample", "volterra", "--level", "2", "--n", "512",
+                "--out", str(out)]) == 1
+    rep = json.loads((out / "counterexample_volterra.json").read_text())
+    assert rep["passed"] is False and rep["metrics"]["residual_b"] == 1e-7
+    assert (out / "manifest.json").exists()
 
 
 def test_counterexample_inhomogeneous(capsys):
@@ -444,6 +467,18 @@ def test_holder_needs_both_exponents_or_neither(flag, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--alpha and --beta" in err
+
+
+@pytest.mark.parametrize("literal, form", [
+    ("const:abc", "const:c"),
+    ("const:", "const:c"),
+    ("const:1,2", "const:c"),
+    ("linear:1,abc", "linear:c0,c1"),
+])
+def test_bad_number_literal_is_named(literal, form, capsys):
+    assert run(["forward", "--n", "8", "--a", literal, "--f", "const:1"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: malformed function literal {literal!r}: expected {form}\n"
 
 
 @pytest.mark.parametrize("alpha, beta", [("1", "0"), ("1", "-0.5"), ("-1", "0.5"), ("nan", "1")])

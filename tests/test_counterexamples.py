@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -19,8 +20,27 @@ from coeffid.inverse import recover
 
 def test_svc_level_one_intervals():
     s = svc_set(1)
-    assert s.intervals == ((Fraction(0), Fraction(3, 8)), (Fraction(5, 8), Fraction(1)))
+    assert s.intervals.tolist() == [[Fraction(0), Fraction(3, 8)], [Fraction(5, 8), Fraction(1)]]
     assert s.measure == Fraction(3, 4)
+
+
+def _svc_fractions(level):
+    """The level-n Smith-Volterra-Cantor intervals in exact rationals."""
+    pieces = [(Fraction(0), Fraction(1))]
+    for k in range(1, level + 1):
+        half = Fraction(1, 2 * 4**k)
+        pieces = [piece for a, b in pieces
+                  for piece in ((a, (a + b) / 2 - half), ((a + b) / 2 + half, b))]
+    return pieces
+
+
+def test_svc_intervals_equal_the_rational_construction():
+    for level in range(1, 13):
+        iv = svc_set(level).intervals
+        assert iv.dtype == np.float64 and iv.shape == (2**level, 2)
+        assert not iv.flags.writeable
+        # Fraction == float compares exact values: no endpoint was rounded
+        assert iv.tolist() == [list(p) for p in _svc_fractions(level)]
 
 
 def test_svc_measure_formula_exact():
@@ -46,6 +66,22 @@ def test_interval_set_validation():
         IntervalSet(((Fraction(1, 2), Fraction(1, 4)),))
     with pytest.raises(ValueError):
         IntervalSet(((Fraction(0), Fraction(3, 4)), (Fraction(1, 2), Fraction(1)),))
+    for rows, match in [
+        ([[-0.25, 0.5]], "inside"),
+        ([[0.5, 1.25]], "inside"),
+        ([[0.25, 0.25]], "nondegenerate"),
+        ([[np.nan, 0.5]], "inside"),
+        ([[0.25, np.nan]], "inside"),
+        ([[0.5, 0.75], [0.0, 0.25]], "sorted"),
+        ([[0.0, 0.5], [0.25, 0.75]], "disjoint"),
+        ([0.0, 0.5], r"\(k, 2\)"),
+        ([[0.0, 0.25, 0.5]], r"\(k, 2\)"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            IntervalSet(rows)
+    # members may touch
+    touching = IntervalSet([[0.0, 0.5], [0.5, 1.0]])
+    assert touching.measure == 1.0 and touching.gaps().shape == (0, 2)
 
 
 def test_svc_gaps_partition_complement():
@@ -96,6 +132,15 @@ def test_volterra_source_nonzero_on_every_gap():
     for al, be in pair.kept_set.intervals:
         inside = (x > float(al)) & (x < float(be))
         assert np.all(pair.f.values[inside] == 0.0)
+
+
+def test_pair_passes_only_below_its_tolerance_with_distinct_coefficients():
+    pair = volterra_pair(2, 2**12, 0.5)
+    assert pair.tol == 1e-8 and pair.passed
+    assert inhomogeneous_pair(64).tol == 1e-9 and inhomogeneous_pair(64).passed
+    for change in [{"residual_a": 2e-8}, {"residual_b": 1e-8}, {"residual_b": math.nan},
+                   {"coeff_gap": 0.0}]:
+        assert not dataclasses.replace(pair, **change).passed
 
 
 def test_volterra_amp_zero_rejected_small_amp_ok():

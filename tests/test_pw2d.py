@@ -251,6 +251,20 @@ def test_grad_norm_by_block_rejects_wrong_node_count():
         grad_norm_by_block(np.ones((18, 18)), Partition2D(2, 2), 16)
 
 
+@pytest.mark.parametrize("shape", [(17 * 17,), (1, 17 * 17), (17 * 17, 1), (17, 17, 1)])
+def test_nodal_fields_of_another_shape_rejected(shape):
+    # the values of a (17, 17) field, laid out in another shape, are not
+    # read back as a row-major (17, 17) field
+    part = Partition2D(2, 2)
+    u = fem_solve(const_coeff(1.0, part), 1.0, 16).reshape(shape)
+    with pytest.raises(ValueError, match="nodes"):
+        grad_norm_by_block(u, part, 16)
+    with pytest.raises(ValueError, match="nodes"):
+        recover_pw(u, 1.0, part, BOUNDS, 16)
+    with pytest.raises(ValueError, match="nodes"):
+        fem_solve(const_coeff(1.0, part), np.ones(shape), 16)
+
+
 @pytest.mark.parametrize("nx, ny, m", [(1, 1, 16), (2, 2, 32), (4, 2, 48), (1, 8, 24), (8, 8, 64)])
 def test_hminus1_batched_matches_per_block_bitwise(nx, ny, m):
     part = Partition2D(nx, ny)

@@ -36,8 +36,9 @@ class RecoveryResult:
 
     degenerate_mask marks nodes where |u'| < threshold; their values are
     nearest-neighbor infill and must not be trusted in error norms. candidates
-    lists every location where u' crosses or touches zero, since the choice of
-    zero is not unique when u' has several near-zeros.
+    is a read-only sorted float64 array of every location where u' crosses or
+    touches zero, since the choice of zero is not unique when u' has several
+    near-zeros.
     """
 
     a: GridFunction1D
@@ -45,7 +46,7 @@ class RecoveryResult:
     degenerate_mask: np.ndarray
     fraction_degenerate: float
     threshold: float
-    candidates: tuple
+    candidates: np.ndarray
     n_clamped: int
 
 
@@ -108,8 +109,8 @@ def recover_from_primitive(
 
     mask = abs_v < threshold
     # every plausible zero of u': refined sign changes plus below-threshold nodes
-    low = np.nonzero(abs_v <= threshold)[0]
-    candidates = set(zeros.tolist()).union(_nodes(du, low).tolist())
+    candidates = np.union1d(zeros, _nodes(du, np.nonzero(abs_v <= threshold)[0]))
+    candidates.flags.writeable = False
     # |u'| takes 8 bytes a node: free it before the arrays below
     del abs_v
     if mask.all():
@@ -141,7 +142,7 @@ def recover_from_primitive(
         degenerate_mask=mask,
         fraction_degenerate=float(np.count_nonzero(mask)) / (du.n + 1),
         threshold=float(threshold),
-        candidates=tuple(sorted(candidates)),
+        candidates=candidates,
         n_clamped=n_clamped,
     )
 

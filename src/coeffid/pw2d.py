@@ -414,12 +414,20 @@ def verify_pw_bound(
     Reports lhs = |a_i - b_i| |f|_{H^-1(D_i)}, rhs = Lam^2 |grad(u_a-u_b)|_{L2(D_i)}
     and the ratio lhs/rhs, which must not exceed 1 + SLACK_COEF/m. Lam defaults
     to the largest coefficient present. block_hminus1 lets sweeps reuse the
-    f-only norms. Where such a norm is 0, lhs is 0 for every pair and the check
+    f-only norms; it must be a finite, non-negative float array of shape
+    (n_blocks,). Where such a norm is 0, lhs is 0 for every pair and the check
     is vacuous; notes lists those blocks.
     """
     if a.partition != b.partition:
         raise ValueError("coefficient pair must share one partition")
     part = a.partition
+    if block_hminus1 is not None and not (
+        isinstance(block_hminus1, np.ndarray) and block_hminus1.dtype.kind == "f"
+        and block_hminus1.shape == (part.n_blocks,)
+        and np.all((block_hminus1 >= 0.0) & (block_hminus1 < np.inf))
+    ):
+        raise ValueError(f"block_hminus1 must be a finite, non-negative float array of "
+                         f"shape ({part.n_blocks},)")
     Lam = bounds.Lam if bounds is not None else float(max(a.coeffs.max(), b.coeffs.max()))
     f = as_nodal_field(f, m)  # sample a callable source once for every use below
 

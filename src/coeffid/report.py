@@ -10,11 +10,11 @@ byte strings, which the CLI writes and hashes one at a time, and only
 to_json joins and decodes it to str. Float columns are rendered by
 coeffid.text, which gives the bytes of "%.17g" for a whole array at a time.
 A 1-D float64 array renders once per memo as its ", "-joined bytes, keyed
-by the array's identity, so the JSON report and the extra files of one CLI
-run share one bytes object. csv_chunks writes the CSV curves with text.csv
+by the array's identity. csv_chunks writes the CSV curves with text.csv
 and puts the joined bytes of each finite float64 curve, taken from the same
-rendering, into the memo, so a curve written to three files is formatted
-once.
+rendering, into the memo. ExperimentReport.files yields the files of one
+CLI run from one memo, the CSV first, so a curve written to three files is
+formatted once.
 """
 
 from __future__ import annotations
@@ -130,3 +130,18 @@ class ExperimentReport:
         joined = yield from text.csv(cols, joined=wanted)
         for j, t in zip(wanted, joined):
             memo[id(curves[j])] = (curves[j], t)
+
+    def files(self, stem: str, fmt: str, extra: dict):
+        """(name, chunks) for each file of a run in format fmt ("json", "csv"
+        or "both"): the curves as stem.csv, the report as stem.json, then
+        each {name: object} of extra as canonical JSON. The files share one
+        memo and the CSV comes first, so its rows give every finite float
+        curve its JSON text once its chunks are consumed, before the next
+        file is asked for."""
+        memo: dict = {}
+        if fmt in ("csv", "both") and self.curves:
+            yield f"{stem}.csv", self.csv_chunks(memo)
+        if fmt in ("json", "both"):
+            yield f"{stem}.json", json_chunks(self.json_dict(), memo)
+        for name, obj in extra.items():
+            yield name, json_chunks(obj, memo)

@@ -331,6 +331,47 @@ def test_recover_from_u_differentiates_first(tmp_path):
     assert np.abs(coeff.values - 1.0)[~masked].max() < 5e-2
 
 
+def test_holder_samples_later_literals_on_the_first_ones_grid(tmp_path, monkeypatch):
+    # a file literal brings its own grid, and b and f are sampled on it:
+    # --n, --lo and --hi change no byte of the report
+    from coeffid.grids import GridFunction1D as GF
+    from coeffid.stability import verify_holder
+
+    monkeypatch.chdir(tmp_path)
+    iv = Interval(-1.0, 2.0)
+    a = GF.from_callable(lambda x: 1.0 + 0.1 * x, iv, 96)
+    a.to_csv("a.csv")
+    argv = ["holder", "--a", "csv:a.csv", "--b", "const:1.5", "--f", "const:1", "--p", "2"]
+    assert run(argv + ["--out", "d1"]) == 0
+    assert run(argv + ["--n", "4096", "--lo", "5", "--hi", "7", "--out", "d2"]) == 0
+    report = (tmp_path / "d1" / "holder.json").read_bytes()
+    assert report == (tmp_path / "d2" / "holder.json").read_bytes()
+    rep = json.loads(report)
+    hr = verify_holder(a, GF.const(1.5, iv, 96), GF.const(1.0, iv, 96), 2.0,
+                       rep["inputs"]["alpha"], rep["inputs"]["beta"])
+    assert [rep["metrics"]["lhs"], rep["metrics"]["rhs_norm"]] == [hr.lhs, hr.rhs_norm]
+
+
+def test_tiny_source_gives_the_exponents_of_a_unit_one(tmp_path):
+    # the band-measure fit is scale-free and the Hoelder zero test is
+    # relative to |u'|: f = 1e-14 is fitted and checked like f = 1
+    metrics = {}
+    for c in ("1", "1e-14"):
+        for cmd, argv in (("exponents", ["exponents", "--f", f"const:{c}"]),
+                          ("holder", ["holder", "--a", "const:1", "--b", "const:1.5",
+                                      "--f", f"const:{c}", "--p", "2"])):
+            out = tmp_path / f"{cmd}{c}"
+            assert run(argv + ["--n", "4096", "--out", str(out)]) == 0
+            metrics[cmd, c] = json.loads((out / f"{cmd}.json").read_text())["metrics"]
+    for key in ("alpha", "beta"):
+        assert metrics["exponents", "1e-14"][key] == \
+            pytest.approx(metrics["exponents", "1"][key], rel=1e-12)
+    unit, tiny = metrics["holder", "1"], metrics["holder", "1e-14"]
+    assert tiny["exponent"] == pytest.approx(unit["exponent"], rel=1e-12)
+    assert tiny["constant_needed"] == \
+        pytest.approx(unit["constant_needed"] * 1e14 ** unit["exponent"], rel=1e-9)
+
+
 def test_exponents_accepts_primitive_directly(tmp_path):
     out = tmp_path / "expF"
     assert run(["exponents", "--F", "linear:0,1", "--n", "1024", "--out", str(out)]) == 0
@@ -426,12 +467,13 @@ _SMALL_RUNS = {
 def test_out_spelling_leaves_outputs_byte_identical(cmd, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "t.json").write_text(json.dumps({"nx": 2, "ny": 2, "coeffs": [1.0, 1.4, 0.9, 1.1]}))
-    spellings = {"d1": ["--out=d1"], "d2": ["--out", "d2"], "d3": ["--ou", "d3"]}
+    spellings = {"d1": ["--out=d1"], "d2": ["--out", "d2"], "d3": ["--ou", "d3"],
+                 "d4": ["--o", "d4"]}
     for flags in spellings.values():
         assert run(_SMALL_RUNS[cmd] + flags) == 0
     written = [{p.name: p.read_bytes() for p in (tmp_path / d).iterdir()} for d in spellings]
     assert "manifest.json" in written[0]
-    assert written[0] == written[1] == written[2]
+    assert written[0] == written[1] == written[2] == written[3]
 
 
 @pytest.mark.parametrize("argv", [

@@ -55,6 +55,16 @@ def test_recover_constant_one_signed_raises():
         recover_from_primitive(du, F, BOUNDS)
 
 
+def test_candidates_are_a_sorted_read_only_array():
+    # three sign changes plus the masked nodes around them
+    du = from_fn(lambda x: np.cos(3.0 * np.pi * x), 999)
+    res = recover_from_primitive(du, from_fn(lambda x: x, 999), BOUNDS, threshold=0.05)
+    cand = res.candidates
+    assert cand.dtype == np.float64 and cand.ndim == 1 and cand.size > 3
+    assert np.all(np.diff(cand) > 0.0)
+    assert not cand.flags.writeable
+
+
 def test_recover_linear_gradient():
     n = 512
     du = from_fn(lambda x: 0.5 - x, n)

@@ -336,6 +336,19 @@ def test_pw_bound_partition_mismatch():
         verify_pw_bound(const_coeff(1.0), const_coeff(1.0, Partition2D(2, 2)), 1.0, 32)
 
 
+@pytest.mark.parametrize("hm", [np.ones(1), np.array([1.0, np.nan, 1.0, 1.0]), 1.0,
+                                np.array([1.0, np.inf, 1.0, 1.0]), -np.ones(4),
+                                np.ones(4, dtype=int)],
+                         ids=["shape (1,)", "nan", "float", "inf", "negative", "int"])
+def test_pw_bound_rejects_block_norms_it_cannot_use(hm):
+    # a (1,) array would broadcast over all four blocks and a NaN would
+    # fail every pair: the norms are checked before any solve
+    part = Partition2D(2, 2)
+    with pytest.raises(ValueError, match=r"block_hminus1 must be .* shape \(4,\)"):
+        verify_pw_bound(const_coeff(1.0, part), const_coeff(2.0, part), 1.0, 16,
+                        block_hminus1=hm)
+
+
 def test_pw_bound_notes_blocks_where_it_is_vacuous():
     # f = 1{x < 1/2} has no H^-1 energy on blocks 1 and 3: lhs is 0 there
     # whatever the pair, so the bound checks nothing on them

@@ -91,6 +91,32 @@ def test_json_chunks_share_the_memo_column():
     assert b"".join(file_pieces) == oracles.canonical_json(g.to_json_dict()).encode()
 
 
+@pytest.mark.parametrize("fmt, names", [("both", ["r.csv", "r.json", "g.json"]),
+                                         ("csv", ["r.csv", "g.json"]),
+                                         ("json", ["r.json", "g.json"])])
+def test_files_yield_the_csv_first_and_render_each_column_once(fmt, names, monkeypatch):
+    # the CSV rows give each float curve its JSON text, so x and the values
+    # of g pass through the float text kernel once for all three files
+    g = GridFunction1D(Interval(0.0, 1.0), np.linspace(0.0, 1.0, 65) ** 3)
+    rep = ExperimentReport(name="r", curves={"x": g.x, "u": g.values})
+    want = {"r.csv": b"".join(rep.csv_chunks({})), "r.json": rep.to_json().encode(),
+            "g.json": oracles.canonical_json(g.to_json_dict()).encode()}
+    words = text._words
+    seen = []
+
+    def counted(x, out):
+        seen.append(x.size)
+        return words(x, out)
+
+    monkeypatch.setattr(text, "_words", counted)
+    files = [(name, b"".join(chunks)) for name, chunks in
+             rep.files("r", fmt, {"g.json": g.to_json_dict()})]
+    assert [name for name, _ in files] == names
+    assert sum(seen) == 2 * 65
+    assert all(data == want[name] for name, data in files)
+    assert [name for name, _ in ExperimentReport(name="r").files("r", "both", {})] == ["r.json"]
+
+
 def test_unequal_curves_rejected():
     rep = ExperimentReport(name="r", curves={"a": np.zeros(3), "b": np.zeros(4)})
     with pytest.raises(ValueError, match="equal length"):

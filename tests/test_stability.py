@@ -209,6 +209,20 @@ def test_fit_exponents_constant_F_rejected():
         fit_exponents(F, np.geomspace(0.1, 0.01, 5), 16)
 
 
+@pytest.mark.parametrize("scale", [1e-14, 2.0**-50, 1e-300])
+def test_fit_exponents_is_scale_free(scale):
+    # the band measures are lengths in x: scaling f scales F, rho and M
+    # together and leaves the exponents as they are
+    for fn in (lambda x: 1.0 - 2.0 * x, lambda x: np.cos(2.0 * np.pi * x), lambda x: 1.0 + 0.0 * x):
+        fits = []
+        for c in (1.0, scale):
+            F = primitive(from_fn(lambda x: c * fn(x), 2048))
+            span = float(F.values.max() - F.values.min())
+            fits.append(fit_exponents(F, np.geomspace(span / 4.0, span / 2048.0, 10), 32))
+        assert fits[1].alpha == pytest.approx(fits[0].alpha, rel=1e-12)
+        assert fits[1].beta == pytest.approx(fits[0].beta, rel=1e-12, abs=1e-12)
+
+
 def test_fit_exponents_validation():
     F = from_fn(lambda x: x, 64)
     with pytest.raises(ValueError, match="decreasing"):
@@ -318,6 +332,21 @@ def test_verify_holder_flags_violation_on_degenerate_source():
     fit = _unit_fit()
     with pytest.raises(RuntimeError, match="identifiability violation"):
         verify_holder(a, b, f, 2.0, fit.alpha, fit.beta)
+
+
+def test_verify_holder_tiny_source_scales_like_a_unit_one():
+    # u' scales with f and the zero test is relative to |u'|: f = 1e-14 is
+    # measured, and the constant needed grows by (1e14)^exponent
+    n = 2048
+    a = GridFunction1D.const(1.0, UNIT, n)
+    b = GridFunction1D.const(1.5, UNIT, n)
+    fit = _unit_fit()
+    unit, tiny = (verify_holder(a, b, GridFunction1D.const(c, UNIT, n), 2.0, fit.alpha, fit.beta)
+                  for c in (1.0, 1e-14))
+    assert tiny.lhs == unit.lhs
+    assert tiny.rhs_norm == pytest.approx(1e-14 * unit.rhs_norm, rel=1e-9)
+    assert tiny.constant_needed == \
+        pytest.approx(unit.constant_needed * 1e14**unit.exponent, rel=1e-9)
 
 
 # -- dyadic family ---------------------------------------------------------------

@@ -4,8 +4,8 @@ and mesh resolutions, recording the worst ratio lhs/rhs per m.
 
 The ratio stays below 1 up to solver tolerance because the discrete problem
 satisfies the same inequality as the continuum one.
-Each row reads its slack 1 + SLACK_COEF/m and its pass flag off the
-verify_pw_bound reports; the script exits 1 when any row fails.
+Each row is one sweep_pw_bound report: its worst ratio, its slack
+1 + SLACK_COEF/m and its pass flag; the script exits 1 when any row fails.
 
 With the defaults (2x2 blocks, 25 trials, seed 0) the worst ratio settles
 well inside the slack as m grows:
@@ -20,10 +20,8 @@ Usage:
 
 import argparse
 
-import numpy as np
-
 from coeffid.grids import CoefficientBounds
-from coeffid.pw2d import Partition2D, PwConstCoefficient, hminus1_norm, verify_pw_bound
+from coeffid.pw2d import Partition2D, sweep_pw_bound
 
 
 def main() -> int:
@@ -42,20 +40,12 @@ def main() -> int:
     rows = []
     all_passed = True
     for m in (16, 32, 64, 128, 256, 512):
-        rng = np.random.default_rng(args.seed)
-        hm = hminus1_norm(1.0, part, range(part.n_blocks), m)
-        worst = 0.0
-        passed = True
-        for _ in range(args.trials):
-            a = PwConstCoefficient(part, rng.uniform(bounds.lam, bounds.Lam, part.n_blocks))
-            b = PwConstCoefficient(part, rng.uniform(bounds.lam, bounds.Lam, part.n_blocks))
-            rep = verify_pw_bound(a, b, 1.0, m, bounds=bounds, block_hminus1=hm)
-            worst = max(worst, rep.metrics["max_ratio"])
-            passed = passed and rep.passed
-        slack = rep.inputs["slack"]
+        rep = sweep_pw_bound(part, 1.0, m, bounds, args.trials, args.seed)
+        worst, slack = rep.metrics["worst_ratio"], rep.metrics["slack"]
         rows.append((m, worst, slack))
-        all_passed = all_passed and passed
-        print(f"m={m:4d}  worst ratio {worst:.4f}  slack {slack:.4f}  {'ok' if passed else 'FAIL'}")
+        all_passed = all_passed and rep.passed
+        print(f"m={m:4d}  worst ratio {worst:.4f}  slack {slack:.4f}  "
+              f"{'ok' if rep.passed else 'FAIL'}")
 
     if args.out:
         with open(args.out, "w") as fh:

@@ -8,7 +8,6 @@ from .grids import (
     CoefficientBounds,
     GridFunction1D,
     Interval,
-    admissible,
     derivative,
     lp_norm,
     quadrature,
@@ -19,7 +18,6 @@ from .gmt import coarea_check, good_levels, level_perimeter, total_variation
 from .stability import (
     DyadicFamily,
     ExponentFit,
-    HolderReport,
     dyadic_rate,
     fit_exponents,
     holder_exponent,
@@ -34,6 +32,7 @@ from .pw2d import (
     fem_solve,
     hminus1_norm,
     recover_pw,
+    sweep_pw_bound,
     verify_pw_bound,
 )
 from .report import ExperimentReport
@@ -46,7 +45,6 @@ __all__ = [
     "quadrature",
     "lp_norm",
     "derivative",
-    "admissible",
     "ForwardSolution",
     "primitive",
     "flux_constant",
@@ -61,7 +59,6 @@ __all__ = [
     "good_levels",
     "ExponentFit",
     "DyadicFamily",
-    "HolderReport",
     "k_rho_measure",
     "fit_exponents",
     "holder_exponent",
@@ -78,6 +75,7 @@ __all__ = [
     "fem_solve",
     "hminus1_norm",
     "verify_pw_bound",
+    "sweep_pw_bound",
     "recover_pw",
     "ExperimentReport",
 ]

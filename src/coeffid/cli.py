@@ -35,9 +35,8 @@ from .pw2d import (
     PwConstCoefficient,
     fem_solve,
     field_to_json_dict,
-    hminus1_norm,
     recover_pw,
-    verify_pw_bound,
+    sweep_pw_bound,
 )
 from .report import ExperimentReport, json_chunks
 from .stability import (
@@ -213,20 +212,17 @@ def _cmd_holder(args):
     if alpha is None:
         fit = _fit_bands(primitive(f))[0]
         alpha, beta, flat = fit.alpha, fit.beta, fit.beta_degenerate
-    rep = ExperimentReport(
-        name="holder",
-        inputs={"a": args.a, "b": args.b, "f": args.f, "p": args.p,
-                "alpha": alpha, "beta": beta},
-        passed=not flat,
-    )
-    if rep.passed:
-        hr = verify_holder(a, b, f, args.p, alpha, beta)
-        rep.metrics = {"lhs": hr.lhs, "rhs_norm": hr.rhs_norm, "exponent": hr.exponent,
-                       "constant_needed": hr.constant_needed, "eta": hr.eta,
-                       "c0_implied": hr.c0_implied}
+    if flat:
+        rep = ExperimentReport(
+            name="holder",
+            inputs={"p": args.p, "alpha": alpha, "beta": beta},
+            passed=False,
+            notes="band-measure sup branch does not decay (flat primitive): "
+                  "no positive stability exponent exists for this source",
+        )
     else:
-        rep.notes = ("band-measure sup branch does not decay (flat primitive): "
-                     "no positive stability exponent exists for this source")
+        rep = verify_holder(a, b, f, args.p, alpha, beta)
+    rep.inputs = {"a": args.a, "b": args.b, "f": args.f, **rep.inputs}
     return rep, {}
 
 
@@ -265,36 +261,15 @@ def _cmd_coarea(args):
 
 
 def _cmd_pw2d_verify(args):
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
-    part = Partition2D(args.nx, args.ny)
     bounds = CoefficientBounds(args.lam, args.Lam)
-    rng = np.random.default_rng(args.seed)
-    hm = hminus1_norm(1.0, part, range(part.n_blocks), args.m)
-    trials = []
-    for _ in range(args.trials):
-        ca = rng.uniform(bounds.lam, bounds.Lam, part.n_blocks)
-        cb = rng.uniform(bounds.lam, bounds.Lam, part.n_blocks)
-        trials.append(verify_pw_bound(
-            PwConstCoefficient(part, ca), PwConstCoefficient(part, cb), 1.0,
-            args.m, bounds=bounds, block_hminus1=hm,
-        ))
-    ratios = [t.metrics["max_ratio"] for t in trials]
-    rep = ExperimentReport(
-        name="pw2d_verify",
-        inputs={"nx": args.nx, "ny": args.ny, "m": args.m, "trials": args.trials,
-                "seed": args.seed, "lambda": bounds.lam, "Lambda": bounds.Lam},
-        metrics={"worst_ratio": max(ratios), "slack": trials[0].inputs["slack"]},
-        curves={"trial": np.arange(args.trials), "max_ratio": np.array(ratios)},
-        passed=all(t.passed for t in trials),
-    )
-    return rep, {}
+    return sweep_pw_bound(Partition2D(args.nx, args.ny), 1.0, args.m, bounds, args.trials,
+                          args.seed), {}
 
 
 def _cmd_pw2d_recover(args):
     truth = read_json(args.truth, PwConstCoefficient.from_json_dict)
     bounds = CoefficientBounds(args.lam, args.Lam)
-    if not truth.admissible(bounds):
+    if not bounds.admits(truth.coeffs):
         raise ValueError(f"truth coefficients outside [{bounds.lam}, {bounds.Lam}]")
     u_meas = fem_solve(truth, 1.0, args.m)
     res = recover_pw(u_meas, 1.0, truth.partition, bounds, args.m)

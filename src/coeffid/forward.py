@@ -27,7 +27,6 @@ import numpy as np
 from .grids import (
     CoefficientBounds,
     GridFunction1D,
-    admissible,
     require_same_grid,
 )
 
@@ -103,7 +102,7 @@ def solve_from_primitive(
     density first.
     """
     require_same_grid(a, F)
-    if bounds is not None and not admissible(a, bounds):
+    if bounds is not None and not bounds.admits(a.values):
         raise ValueError(f"coefficient outside [{bounds.lam}, {bounds.Lam}]")
 
     Ca = flux_constant(a, F)

@@ -29,7 +29,6 @@ __all__ = [
     "quadrature",
     "lp_norm",
     "derivative",
-    "admissible",
     "indicator_values",
     "fmt_float",
 ]
@@ -99,6 +98,11 @@ class CoefficientBounds:
         if not (0.0 < self.lam < self.Lam < math.inf):
             raise ValueError(f"need 0 < lam < Lam, got ({self.lam}, {self.Lam})")
 
+    def admits(self, values) -> bool:
+        """True iff every value lies in [lam, Lam]."""
+        v = np.asarray(values)
+        return bool(np.all((v >= self.lam) & (v <= self.Lam)))
+
 
 @dataclass(frozen=True, eq=False)
 class GridFunction1D:
@@ -149,7 +153,17 @@ class GridFunction1D:
 
     @property
     def x(self) -> np.ndarray:
-        return np.linspace(self.interval.lo, self.interval.hi, self.n + 1)
+        """np.linspace's nodes, bit for bit: node i is i*h + lo, node n is hi.
+        In place, as a second array of n nodes costs more than the arithmetic."""
+        x = np.arange(self.n + 1, dtype=float)
+        x *= self.h
+        x += self.interval.lo
+        x[-1] = self.interval.hi
+        return x
+
+    def nodes(self, idx: np.ndarray) -> np.ndarray:
+        """x[idx] for an index array, by the rule of x, without forming x."""
+        return np.where(idx == self.n, self.interval.hi, idx * self.h + self.interval.lo)
 
     def same_grid(self, other: "GridFunction1D") -> bool:
         return self.interval == other.interval and self.n == other.n
@@ -306,12 +320,6 @@ def derivative(g: GridFunction1D) -> GridFunction1D:
     d[0] = (4.0 * (v[1] - v[0]) - (v[2] - v[0])) / two_h
     d[-1] = (4.0 * (v[-1] - v[-2]) - (v[-1] - v[-3])) / two_h
     return g.with_values(d)
-
-
-def admissible(a: GridFunction1D, bounds: CoefficientBounds) -> bool:
-    """True iff every nodal value lies in [lam, Lam]."""
-    v = a.values
-    return bool(np.all((v >= bounds.lam) & (v <= bounds.Lam)))
 
 
 def indicator_values(x: np.ndarray, lo: float, hi: float, ends=None) -> np.ndarray:

@@ -57,12 +57,6 @@ def default_threshold(du: GridFunction1D) -> float:
     return max(t, 1e-300)
 
 
-def _nodes(g: GridFunction1D, idx: np.ndarray) -> np.ndarray:
-    """g.x[idx] without forming g.x: np.linspace gives node i as i*h + lo
-    and node n as hi."""
-    return np.where(idx == g.n, g.interval.hi, idx * g.h + g.interval.lo)
-
-
 def recover_from_primitive(
     du: GridFunction1D,
     F: GridFunction1D,
@@ -92,7 +86,7 @@ def recover_from_primitive(
     # product of two tiny values underflows to zero and hides the change
     cells = np.nonzero((v[:-1] < 0.0) & (v[1:] > 0.0) | (v[:-1] > 0.0) & (v[1:] < 0.0))[0]
     t = v[cells] / (v[cells] - v[cells + 1])
-    zeros = _nodes(du, cells) + t * du.h
+    zeros = du.nodes(cells) + t * du.h
     i_min = 1 + int(np.argmin(abs_v[1:-1]))
     if not cells.size and abs_v[i_min] > threshold:
         raise ValueError(
@@ -109,7 +103,7 @@ def recover_from_primitive(
 
     mask = abs_v < threshold
     # every plausible zero of u': refined sign changes plus below-threshold nodes
-    candidates = np.union1d(zeros, _nodes(du, np.nonzero(abs_v <= threshold)[0]))
+    candidates = np.union1d(zeros, du.nodes(np.nonzero(abs_v <= threshold)[0]))
     candidates.flags.writeable = False
     # |u'| takes 8 bytes a node: free it before the arrays below
     del abs_v

@@ -56,6 +56,7 @@ __all__ = [
     "hminus1_norm",
     "grad_norm_by_block",
     "verify_pw_bound",
+    "sweep_pw_bound",
     "recover_pw",
     "field_to_json_dict",
 ]
@@ -100,9 +101,6 @@ class PwConstCoefficient:
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
-
-    def admissible(self, bounds: CoefficientBounds) -> bool:
-        return bool(np.all((self.coeffs >= bounds.lam) & (self.coeffs <= bounds.Lam)))
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PwConstCoefficient":
@@ -459,6 +457,41 @@ def verify_pw_bound(
     )
 
 
+def sweep_pw_bound(
+    partition: Partition2D,
+    f,
+    m: int,
+    bounds: CoefficientBounds,
+    trials: int,
+    seed: int,
+) -> ExperimentReport:
+    """verify_pw_bound on trials pairs drawn from np.random.default_rng(seed),
+    a's constants then b's, uniform in [lam, Lam]; one hminus1_norm call
+    serves every pair. Passes when every pair does. The pairs share the block
+    norms, so they share their notes on vacuous blocks, which the sweep keeps."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    nb = partition.n_blocks
+    f = as_nodal_field(f, m)
+    hm = hminus1_norm(f, partition, range(nb), m)
+    rng = np.random.default_rng(seed)
+    reports = []
+    for _ in range(trials):
+        a = PwConstCoefficient(partition, rng.uniform(bounds.lam, bounds.Lam, nb))
+        b = PwConstCoefficient(partition, rng.uniform(bounds.lam, bounds.Lam, nb))
+        reports.append(verify_pw_bound(a, b, f, m, bounds=bounds, block_hminus1=hm))
+    ratios = np.array([r.metrics["max_ratio"] for r in reports])
+    return ExperimentReport(
+        name="pw2d_verify",
+        inputs={"nx": partition.nx, "ny": partition.ny, "m": m, "trials": trials,
+                "seed": seed, "lambda": bounds.lam, "Lambda": bounds.Lam},
+        metrics={"worst_ratio": float(ratios.max()), "slack": reports[0].inputs["slack"]},
+        curves={"trial": np.arange(trials), "max_ratio": ratios},
+        passed=all(r.passed for r in reports),
+        notes=reports[0].notes,
+    )
+
+
 @dataclass(eq=False)
 class PwRecovery:
     """Recovered piecewise-constant coefficient plus solver diagnostics:
@@ -491,10 +524,11 @@ def recover_pw(
     relative to its value or the step is below 1e-12; after MAX_SWEEPS steps
     the result carries a warning. A non-finite u_meas is rejected. The data
     decide identifiability: when the equation-error matrix [K_i u] is rank
-    deficient (smallest singular value at most 1e-12 times the largest, or
-    the matrix is zero), some block's column lies in the span of the others
-    and its constant is not determined; the result then holds midpoint
-    values and a warning.
+    deficient (fewer interior nodes than blocks, as when every block is one
+    cell; smallest singular value at most 1e-12 times the largest; or the
+    matrix is zero), some block's column lies in the span of the others and
+    its constant is not determined; the result then holds midpoint values
+    and a warning.
     """
     ws = _workspace(partition.nx, partition.ny, m)
     # LAPACK would print to stderr on a NaN before lstsq raises
@@ -505,7 +539,9 @@ def recover_pw(
     b_int = _mass_load(as_nodal_field(f, m), 1.0 / m).ravel()
     A = ws.block_products(u_flat[inner])
     start, _, _, sv = np.linalg.lstsq(A, b_int, rcond=None)
-    if sv[-1] <= 1e-12 * sv[0]:
+    # lstsq gives min(rows, blocks) singular values: a short matrix hides
+    # the zero ones
+    if sv.size < nb or sv[-1] <= 1e-12 * sv[0]:
         mid = 0.5 * (bounds.lam + bounds.Lam)
         return PwRecovery(
             coeff=PwConstCoefficient(partition, np.full(nb, mid)),

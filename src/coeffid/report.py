@@ -1,9 +1,10 @@
 """Machine-readable experiment reports with byte-reproducible serialization.
 
-Every verification routine returns an ExperimentReport. Serialization is
-canonical: keys keep insertion order, floats are rendered at 17 significant
-digits, and no timestamps or environment data are embedded, so identical
-inputs produce identical bytes.
+Every verification routine (verify_holder, verify_pw_bound, sweep_pw_bound,
+coarea_check, dyadic_rate) returns an ExperimentReport, verdict included.
+Serialization is canonical: keys keep insertion order, floats are rendered
+at 17 significant digits, and no timestamps or environment data are
+embedded, so identical inputs produce identical bytes.
 
 Rendered JSON is ASCII bytes throughout: json_chunks returns it as a list of
 byte strings, which the CLI writes and hashes one at a time, and only

@@ -41,7 +41,6 @@ from .report import ExperimentReport
 __all__ = [
     "ExponentFit",
     "DyadicFamily",
-    "HolderReport",
     "k_rho_measure",
     "fit_exponents",
     "holder_exponent",
@@ -243,24 +242,6 @@ def holder_exponent(p, alpha, beta):
     return 4 * beta / ((2 + alpha) * (2 + beta) * p)
 
 
-@dataclass(frozen=True, eq=False)
-class HolderReport:
-    """Two sides of the stability bound for one pair of coefficients.
-
-    constant_needed = lhs / rhs_norm**exponent is the constant this pair
-    demands; eta = |C_a - C_b| is the flux-constant gap, with c0_implied the
-    constant it demands in the intermediate bound eta <= c0 rhs**(p/(p+alpha)).
-    """
-
-    p: float
-    lhs: float
-    rhs_norm: float
-    exponent: float
-    constant_needed: float
-    eta: float
-    c0_implied: float
-
-
 def verify_holder(
     a: GridFunction1D,
     b: GridFunction1D,
@@ -268,15 +249,20 @@ def verify_holder(
     p: float,
     alpha: float,
     beta: float,
-) -> HolderReport:
+) -> ExperimentReport:
     """Measure both sides of |a - b|_{Lp} <= C |u'_a - u'_b|_{L2}^exponent,
     with exponent = holder_exponent(p, alpha, beta) for the band-measure
     exponents (alpha, beta) of f's primitive, e.g. from fit_exponents.
 
-    Raises when the right side vanishes (below ZERO_TOL relative to
-    |u'_a|_L2 + |u'_b|_L2, so the test does not depend on the size of f) while
-    the left does not (below ZERO_TOL relative to the coefficients' size),
-    which on admissible inputs with f nonzero a.e. would contradict
+    The "holder" report's metrics are lhs, rhs_norm, exponent,
+    constant_needed = lhs / rhs_norm**exponent, the constant this pair
+    demands, eta = |C_a - C_b|, the flux-constant gap, and c0_implied, the
+    constant eta demands in the intermediate bound eta <= c0 rhs**(p/(p+alpha)).
+    When the right side vanishes (below ZERO_TOL relative to
+    |u'_a|_L2 + |u'_b|_L2, so the test does not depend on the size of f) the
+    two constants are 0 if the left side vanishes too (below ZERO_TOL
+    relative to the coefficients' size); otherwise it raises, as on
+    admissible inputs with f nonzero a.e. that would contradict
     identifiability.
     """
     require_same_grid(a, b)
@@ -289,20 +275,19 @@ def verify_holder(
 
     du_size = lp_norm(sol_a.du, 2.0) + lp_norm(sol_b.du, 2.0)
     coeff_size = 1.0 + float(np.abs(a.values).max()) + float(np.abs(b.values).max())
+    constant_needed = c0_implied = 0.0
     if rhs <= ZERO_TOL * du_size:
         if lhs > ZERO_TOL * coeff_size:
             raise RuntimeError("identifiability violation detected")
-        return HolderReport(p=float(p), lhs=lhs, rhs_norm=rhs, exponent=exponent,
-                            constant_needed=0.0, eta=eta, c0_implied=0.0)
-
-    return HolderReport(
-        p=float(p),
-        lhs=lhs,
-        rhs_norm=rhs,
-        exponent=exponent,
-        constant_needed=lhs / rhs**exponent,
-        eta=eta,
-        c0_implied=eta / rhs ** (p / (p + alpha)),
+    else:
+        constant_needed = lhs / rhs**exponent
+        c0_implied = eta / rhs ** (p / (p + alpha))
+    return ExperimentReport(
+        name="holder",
+        inputs={"p": float(p), "alpha": float(alpha), "beta": float(beta)},
+        metrics={"lhs": lhs, "rhs_norm": rhs, "exponent": exponent,
+                 "constant_needed": constant_needed, "eta": eta, "c0_implied": c0_implied},
+        passed=True,
     )
 
 

@@ -349,7 +349,8 @@ def test_holder_samples_later_literals_on_the_first_ones_grid(tmp_path, monkeypa
     rep = json.loads(report)
     hr = verify_holder(a, GF.const(1.5, iv, 96), GF.const(1.0, iv, 96), 2.0,
                        rep["inputs"]["alpha"], rep["inputs"]["beta"])
-    assert [rep["metrics"]["lhs"], rep["metrics"]["rhs_norm"]] == [hr.lhs, hr.rhs_norm]
+    assert [rep["metrics"]["lhs"], rep["metrics"]["rhs_norm"]] == \
+        [hr.metrics["lhs"], hr.metrics["rhs_norm"]]
 
 
 def test_tiny_source_gives_the_exponents_of_a_unit_one(tmp_path):
@@ -441,6 +442,24 @@ def test_pw2d_recover_rejects_inadmissible_truth(tmp_path, capsys):
                 "--m", "16"])
     assert code == 2
     assert "outside" in capsys.readouterr().err
+
+
+def test_pw2d_verify_notes_vacuous_blocks(tmp_path):
+    out = tmp_path / "pw"
+    assert run(["pw2d", "verify", "--nx", "8", "--ny", "8", "--m", "8", "--out", str(out)]) == 0
+    rep = json.loads((out / "pw2d_verify.json").read_text())
+    assert rep["notes"] == f"vacuous on blocks {list(range(64))}: |f|_H^-1 is 0 there"
+
+
+def test_pw2d_recover_one_cell_per_block_exits_1(tmp_path):
+    truth_path = tmp_path / "truth.json"
+    truth_path.write_text(json.dumps({"nx": 4, "ny": 4, "coeffs": [1.0, 1.5, 0.8, 1.2] * 4}))
+    out = tmp_path / "rec"
+    assert run(["pw2d", "recover", "--truth", str(truth_path), "--m", "4",
+                "--out", str(out)]) == 1
+    rep = json.loads((out / "pw2d_recover.json").read_text())
+    assert rep["metrics"]["converged"] is False
+    assert "do not determine every block" in rep["notes"]
 
 
 def test_pw2d_verify_needs_a_trial():

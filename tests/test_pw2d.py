@@ -16,6 +16,7 @@ from coeffid.pw2d import (
     grad_norm_by_block,
     hminus1_norm,
     recover_pw,
+    sweep_pw_bound,
     verify_pw_bound,
 )
 from coeffid.pw2d import _mass_load, _workspace
@@ -50,7 +51,7 @@ def test_coefficient_validation():
         PwConstCoefficient(Partition2D(2, 2), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         PwConstCoefficient(FULL, np.array([-1.0]))
-    assert const_coeff(1.0, Partition2D(2, 2)).admissible(BOUNDS)
+    assert BOUNDS.admits(const_coeff(1.0, Partition2D(2, 2)).coeffs)
 
 
 def test_mesh_must_resolve_partition():
@@ -362,6 +363,33 @@ def test_pw_bound_notes_blocks_where_it_is_vacuous():
     assert verify_pw_bound(a, b, 1.0, m).notes == ""
 
 
+def test_sweep_draws_a_then_b_from_the_seed():
+    part, m, trials, seed = Partition2D(2, 2), 16, 3, 5
+    rep = sweep_pw_bound(part, 1.0, m, BOUNDS, trials, seed)
+    rng = np.random.default_rng(seed)
+    hm = hminus1_norm(1.0, part, range(part.n_blocks), m)
+    ratios = []
+    for _ in range(trials):
+        a = PwConstCoefficient(part, rng.uniform(BOUNDS.lam, BOUNDS.Lam, part.n_blocks))
+        b = PwConstCoefficient(part, rng.uniform(BOUNDS.lam, BOUNDS.Lam, part.n_blocks))
+        pair = verify_pw_bound(a, b, 1.0, m, bounds=BOUNDS, block_hminus1=hm)
+        ratios.append(pair.metrics["max_ratio"])
+    assert rep.name == "pw2d_verify" and rep.passed and rep.notes == ""
+    assert rep.inputs == {"nx": 2, "ny": 2, "m": m, "trials": trials, "seed": seed,
+                          "lambda": BOUNDS.lam, "Lambda": BOUNDS.Lam}
+    assert rep.metrics == {"worst_ratio": max(ratios), "slack": 1.0 + 5.0 / m}
+    assert rep.curves["trial"].tolist() == list(range(trials))
+    assert rep.curves["max_ratio"].tolist() == ratios
+
+
+def test_sweep_notes_the_blocks_where_every_pair_is_vacuous():
+    # one cell per block: no block has an interior node, so |f|_H^-1 is 0 on
+    # all 64 and the sweep passes on checks that check nothing
+    rep = sweep_pw_bound(Partition2D(8, 8), 1.0, 8, BOUNDS, 2, 0)
+    assert rep.passed and rep.metrics["worst_ratio"] == 0.0
+    assert rep.notes == f"vacuous on blocks {list(range(64))}: |f|_H^-1 is 0 there"
+
+
 def test_recover_roundtrip_2x2():
     part = Partition2D(2, 2)
     truth = PwConstCoefficient(part, np.array([1.0, 1.5, 0.8, 1.2]))
@@ -391,7 +419,7 @@ def test_recover_noisy_data_error_near_noise_level():
     res = recover_pw(u_noisy, 1.0, part, BOUNDS, m)
     assert res.converged
     assert res.sweeps == 4
-    assert res.coeff.admissible(BOUNDS)
+    assert BOUNDS.admits(res.coeff.coeffs)
     assert np.abs(res.coeff.coeffs - truth.coeffs).max() <= 1e-2
 
 
@@ -404,7 +432,7 @@ def test_recover_truth_on_lower_bound_stays_admissible():
     res = recover_pw(u * (1.0 + 1e-3 * z), 1.0, part, BOUNDS, m)
     assert res.converged
     assert res.sweeps == 4
-    assert res.coeff.admissible(BOUNDS)
+    assert BOUNDS.admits(res.coeff.coeffs)
     assert np.abs(res.coeff.coeffs - truth.coeffs).max() <= 1e-2
 
 
@@ -435,7 +463,20 @@ def test_recover_degenerate_source_warns():
     res = recover_pw(np.zeros((33, 33)), 0.0, part, BOUNDS, 32)
     assert not res.converged
     assert "arbitrary" in res.warning
-    assert res.coeff.admissible(BOUNDS)
+    assert BOUNDS.admits(res.coeff.coeffs)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 16])
+def test_recover_one_cell_per_block_warns(k):
+    # k x k blocks at m = k: [K_i u] has (k-1)^2 rows for k^2 blocks, and
+    # lstsq returns one singular value per row, so a rank test on the last
+    # one alone misses the null space
+    part = Partition2D(k, k)
+    truth = PwConstCoefficient(part, np.random.default_rng(k).uniform(0.6, 1.9, part.n_blocks))
+    res = recover_pw(fem_solve(truth, 1.0, k), 1.0, part, BOUNDS, k)
+    assert not res.converged
+    assert "arbitrary" in res.warning
+    assert np.all(res.coeff.coeffs == 0.5 * (BOUNDS.lam + BOUNDS.Lam))
 
 
 def test_recover_source_vanishing_on_blocks():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from coeffid import stability
 from coeffid.forward import primitive, solve_from_primitive
-from coeffid.grids import CoefficientBounds, GridFunction1D, Interval, admissible, lp_norm
+from coeffid.grids import CoefficientBounds, GridFunction1D, Interval, lp_norm
 from coeffid.stability import (
     DyadicFamily,
     dyadic_coefficient,
@@ -287,8 +287,21 @@ def test_verify_holder_identical_pair():
     f = GridFunction1D.const(1.0, UNIT, n)
     fit = _unit_fit()
     rep = verify_holder(a, a, f, 2.0, fit.alpha, fit.beta)
-    assert rep.lhs == 0.0
-    assert rep.constant_needed == 0.0
+    assert rep.metrics["lhs"] == 0.0
+    assert rep.metrics["constant_needed"] == 0.0
+
+
+def test_verify_holder_returns_a_holder_report():
+    n = 256
+    a = GridFunction1D.const(1.0, UNIT, n)
+    b = GridFunction1D.const(1.5, UNIT, n)
+    f = GridFunction1D.const(1.0, UNIT, n)
+    rep = verify_holder(a, b, f, 2, 1, 1)
+    assert rep.name == "holder" and rep.passed and rep.notes == ""
+    assert rep.inputs == {"p": 2.0, "alpha": 1.0, "beta": 1.0}
+    assert list(rep.metrics) == ["lhs", "rhs_norm", "exponent", "constant_needed", "eta",
+                                 "c0_implied"]
+    assert rep.metrics["exponent"] == pytest.approx(2.0 / 9.0)
 
 
 def test_verify_holder_constant_pair():
@@ -298,9 +311,9 @@ def test_verify_holder_constant_pair():
     f = GridFunction1D.const(1.0, UNIT, n)
     fit = _unit_fit()
     rep = verify_holder(a, b, f, 2.0, fit.alpha, fit.beta)
-    assert rep.exponent == pytest.approx(2.0 / 9.0, abs=0.02)
-    assert np.isfinite(rep.constant_needed) and rep.constant_needed > 0
-    assert rep.eta > 0
+    assert rep.metrics["exponent"] == pytest.approx(2.0 / 9.0, abs=0.02)
+    assert np.isfinite(rep.metrics["constant_needed"]) and rep.metrics["constant_needed"] > 0
+    assert rep.metrics["eta"] > 0
 
 
 def test_verify_holder_bounded_over_random_pairs():
@@ -316,9 +329,9 @@ def test_verify_holder_bounded_over_random_pairs():
         cb = rng.uniform(0.6, 1.9, 3)
         a = GridFunction1D(UNIT, np.interp(x, [0.0, 0.5, 1.0], ca))
         b = GridFunction1D(UNIT, np.interp(x, [0.0, 0.5, 1.0], cb))
-        assert admissible(a, bounds) and admissible(b, bounds)
+        assert bounds.admits(a.values) and bounds.admits(b.values)
         rep = verify_holder(a, b, f, 2.0, fit.alpha, fit.beta)
-        consts.append(rep.constant_needed)
+        consts.append(rep.metrics["constant_needed"])
     assert np.isfinite(max(consts))
 
 
@@ -341,12 +354,12 @@ def test_verify_holder_tiny_source_scales_like_a_unit_one():
     a = GridFunction1D.const(1.0, UNIT, n)
     b = GridFunction1D.const(1.5, UNIT, n)
     fit = _unit_fit()
-    unit, tiny = (verify_holder(a, b, GridFunction1D.const(c, UNIT, n), 2.0, fit.alpha, fit.beta)
-                  for c in (1.0, 1e-14))
-    assert tiny.lhs == unit.lhs
-    assert tiny.rhs_norm == pytest.approx(1e-14 * unit.rhs_norm, rel=1e-9)
-    assert tiny.constant_needed == \
-        pytest.approx(unit.constant_needed * 1e14**unit.exponent, rel=1e-9)
+    unit, tiny = (verify_holder(a, b, GridFunction1D.const(c, UNIT, n), 2.0, fit.alpha,
+                                fit.beta).metrics for c in (1.0, 1e-14))
+    assert tiny["lhs"] == unit["lhs"]
+    assert tiny["rhs_norm"] == pytest.approx(1e-14 * unit["rhs_norm"], rel=1e-9)
+    assert tiny["constant_needed"] == \
+        pytest.approx(unit["constant_needed"] * 1e14 ** unit["exponent"], rel=1e-9)
 
 
 # -- dyadic family ---------------------------------------------------------------

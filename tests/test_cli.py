@@ -445,10 +445,13 @@ def test_pw2d_recover_rejects_inadmissible_truth(tmp_path, capsys):
 
 
 def test_pw2d_verify_notes_vacuous_blocks(tmp_path):
+    # every block is one cell, so no block is checked: the sweep fails, exit 1
     out = tmp_path / "pw"
-    assert run(["pw2d", "verify", "--nx", "8", "--ny", "8", "--m", "8", "--out", str(out)]) == 0
+    assert run(["pw2d", "verify", "--nx", "8", "--ny", "8", "--m", "8", "--out", str(out)]) == 1
     rep = json.loads((out / "pw2d_verify.json").read_text())
-    assert rep["notes"] == f"vacuous on blocks {list(range(64))}: |f|_H^-1 is 0 there"
+    assert rep["passed"] is False
+    assert rep["notes"] == (f"vacuous on blocks {list(range(64))}: |f|_H^-1 is 0 there; "
+                            "no block was checked")
 
 
 def test_pw2d_recover_one_cell_per_block_exits_1(tmp_path):
@@ -816,15 +819,15 @@ _PINNED_DIGESTS = {
         "manifest.json": "77b2726271f45950",
     }),
     "pw2d verify": (0, {
-        "manifest.json": "757ae8bd8c61209e",
-        "pw2d_verify.csv": "a2e79bc920032600",
-        "pw2d_verify.json": "d8ae2c2009b946af",
+        "manifest.json": "1d9844842b49d5d7",
+        "pw2d_verify.csv": "a15677226400d9ff",
+        "pw2d_verify.json": "88c2ec9d91f5f6b9",
     }),
     "pw2d recover": (0, {
-        "manifest.json": "e14a632226df9ad2",
-        "pw2d_recover.csv": "49f1e987480fe213",
-        "pw2d_recover.json": "71d81281bcc20cd8",
-        "u_meas.json": "9db0584541c120ee",
+        "manifest.json": "7f8acb879cacca4a",
+        "pw2d_recover.csv": "deba16cc7b02ac5b",
+        "pw2d_recover.json": "1e5e3f83dc4b36c2",
+        "u_meas.json": "2b15789ed28a7d2c",
     }),
 }
 

@@ -30,9 +30,12 @@ PARTITIONS = [(1, 1), (2, 2), (4, 2), (4, 4)]
 # (nx, ny, m) for the LU oracle: no interface (1x1), square and non-square
 # blocks, tiles wider than tall and taller than wide (3x2 and 2x3 at m = 12),
 # blocks one cell wide with no interior (4x4 at m = 4), elongated blocks split
-# into tiles (1x4 at m = 8, 1x8 at m = 24), and many small blocks
+# into tiles (1x4 at m = 8, 1x8 at m = 24), and many small blocks. The
+# interface is factored densely on 2x2 at m = 72 (4 tiles, n_gamma = 141,
+# against 29 at m = 8) and by sparse LU on 3x3 at m = 48 (9 tiles,
+# n_gamma = 184)
 ORACLE_CASES = [(1, 1, 9), (2, 2, 8), (4, 2, 8), (3, 3, 9), (3, 2, 12), (2, 3, 12), (4, 4, 4),
-                (1, 4, 8), (1, 8, 24), (16, 16, 64)]
+                (1, 4, 8), (1, 8, 24), (16, 16, 64), (2, 2, 72), (3, 3, 48)]
 
 
 def const_coeff(c, part=FULL):
@@ -158,6 +161,18 @@ def test_hminus1_matches_lu_oracle(nx, ny, m):
     want = oracles.block_hminus1_lu(f, nx, ny, m)
     got = np.array([hminus1_norm(f, part, i, m) for i in range(part.n_blocks)])
     assert np.abs(got - want).max() <= 1e-10 * want.max()
+
+
+@pytest.mark.parametrize("nx, ny, m, dense", [(2, 2, 72, True), (2, 1, 16, True),
+                                              (3, 3, 48, False), (16, 16, 64, False)])
+def test_interface_factor_follows_the_tile_count(nx, ny, m, dense):
+    # dense Cholesky on at most four tiles, sparse LU on more
+    assert (_workspace(nx, ny, m)._s_flat is not None) == dense
+
+
+def test_dense_interface_factor_raises_when_not_positive_definite():
+    with pytest.raises(np.linalg.LinAlgError):
+        _workspace(2, 2, 8).solver(np.full(4, -1.0))
 
 
 @pytest.mark.parametrize("nx, ny", [(1, 32), (32, 1), (4, 4)])
@@ -384,10 +399,11 @@ def test_sweep_draws_a_then_b_from_the_seed():
 
 def test_sweep_notes_the_blocks_where_every_pair_is_vacuous():
     # one cell per block: no block has an interior node, so |f|_H^-1 is 0 on
-    # all 64 and the sweep passes on checks that check nothing
+    # all 64; the sweep checked nothing, so it fails
     rep = sweep_pw_bound(Partition2D(8, 8), 1.0, 8, BOUNDS, 2, 0)
-    assert rep.passed and rep.metrics["worst_ratio"] == 0.0
-    assert rep.notes == f"vacuous on blocks {list(range(64))}: |f|_H^-1 is 0 there"
+    assert not rep.passed and rep.metrics["worst_ratio"] == 0.0
+    assert rep.notes == (f"vacuous on blocks {list(range(64))}: |f|_H^-1 is 0 there; "
+                         "no block was checked")
 
 
 def test_recover_roundtrip_2x2():

@@ -8,11 +8,12 @@ and recovery of the block constants from one measured solution.
 The mesh is uniform: m x m square cells, each cut along its SW-NE diagonal
 into two right isosceles triangles whose legs are cell edges. A P1 field's
 energy on such a triangle is half the sum of its squared leg differences,
-whatever the mesh width, so each (nx, ny, m) workspace holds the mesh as one
-list of legs (tail node, head node, block of the cell). The block products
-K_i u and the Gauss-Newton gram come from leg differences, and the block
-gradient norms from the differences along the cell edges, which are the
-legs; a constant coefficient's stiffness is the 5-point Laplacian.
+whatever the mesh width, so a cell's energy is half the sum of the squared
+differences along its four edges. The a = 1 stiffness of any rectangle of
+cells is therefore one weighted edge sum, _rect_stiffness: the whole
+square's gives the Gauss-Newton gram and the interface coupling, a tile's
+the tile complement, and a block's, the same for every block, the block
+products K_i u. The block gradient norms sum the edge differences directly.
 Loads apply the P1 mass stencil to the nodal source.
 
 When m resolves the block partition, multiplying a test function supported in
@@ -174,13 +175,21 @@ def _tile_side(side: int, other: int) -> int:
     return min(divisors, key=lambda d: abs(math.log(d / other)))
 
 
-def _legs(nodes: np.ndarray) -> tuple:
-    """Tail and head of the four legs of every cell of a node grid indexed
-    [iy, ix]: the lower triangle's bottom and right edges, the upper
-    triangle's top and left edges."""
-    sw, se, ne, nw = nodes[:-1, :-1], nodes[:-1, 1:], nodes[1:, 1:], nodes[1:, :-1]
-    return (np.stack([sw, se, ne, nw], axis=-1).ravel(),
-            np.stack([se, ne, nw, sw], axis=-1).ravel())
+def _rect_stiffness(sx: int, sy: int) -> sp.csr_matrix:
+    """The a = 1 P1 stiffness of an sx by sy cell rectangle on its closed
+    nodes, indexed [iy, ix] row-major. Each cell edge weighs 1/2 for each cell
+    of the rectangle beside it: 1 inside, 1/2 along the rectangle's sides. A
+    node couples to its four axis neighbours by minus their edge weights, so
+    the matrix has five diagonals; on the whole square it is the 5-point
+    Laplacian. Every entry is a sum of halves, so it is exact."""
+    # the weight of each node's edge to its east and to its north neighbour,
+    # 0 where it has none
+    east, north = np.ones((2, sy + 1, sx + 1))
+    east[[0, -1]] = north[:, [0, -1]] = 0.5
+    east[:, -1] = north[-1] = 0.0
+    e, n, k = east.ravel(), north.ravel(), sx + 1
+    diag = e + n + np.r_[0.0, e[:-1]] + np.r_[np.zeros(k), n[:-k]]
+    return sp.diags([-n[:-k], -e[:-1], diag, -e[:-1], -n[:-k]], [-k, -1, 0, 1, k], format="csr")
 
 
 def _local_complement(sx: int, sy: int, dst: tuple) -> tuple:
@@ -195,15 +204,8 @@ def _local_complement(sx: int, sy: int, dst: tuple) -> tuple:
                          [0, sx, 0, sx]])
     by = np.concatenate([np.zeros(sx - 1, int), np.full(sx - 1, sy), span_y, span_y,
                          [0, 0, sy, sy]])
-    nB = bx.size
-    local = np.full((sy + 1, sx + 1), -1)
-    local[by, bx] = np.arange(nB)
-    tail, head = _legs(local)
-    ends, other = np.concatenate([tail, head]), np.concatenate([head, tail])
-    rows, cols = np.concatenate([ends, ends]), np.concatenate([ends, other])
-    keep = (rows >= 0) & (cols >= 0)
-    weight = np.repeat([0.5, -0.5], ends.size)[keep]
-    S = sp.coo_matrix((weight, (rows[keep], cols[keep])), shape=(nB, nB)).toarray()
+    b = by * (sx + 1) + bx
+    S = _rect_stiffness(sx, sy)[b][:, b].toarray()
     if sx > 1 and sy > 1:
         S[:-4, :-4] -= _edge_green(dst)
     return 0.5 * (S + S.T), bx, by
@@ -221,9 +223,9 @@ def _mass_load(g: np.ndarray, h: float) -> np.ndarray:
 
 
 class _Workspace:
-    """The legs of one (nx, ny, m) mesh and the structures derived from them:
-    the block products, and the static condensation of the tile interiors
-    that every linear solve uses."""
+    """One (nx, ny, m) mesh: the square's a = 1 stiffness, the closed nodes of
+    every block for the block products, and the static condensation of the
+    tile interiors that every linear solve uses."""
 
     def __init__(self, nx: int, ny: int, m: int):
         if m < 2:
@@ -240,14 +242,12 @@ class _Workspace:
         pos = np.full(nn, -1)
         pos[inner] = np.arange(inner.size)
 
-        tail, head = _legs(nodes)
-        cy, cx = np.divmod(np.arange(m * m), m)
-        leg_block = np.repeat((cy // my) * nx + cx // mx, 4)
-        # per leg end, its entry (node, block) of the block products; they
-        # stay wide, as n_nodes * n_blocks can pass 2^31, while int32 halves
-        # what each cached workspace holds of the rest
-        self._ends = np.concatenate([tail, head]) * nb + np.tile(leg_block, 2)
-        self.tail, self.head = tail.astype(np.int32), head.astype(np.int32)
+        self.stiffness = _rect_stiffness(m, m)
+        # every block has one shape, so one stiffness serves them all; column
+        # i of _block_nodes lists block i's closed nodes in its [iy, ix] order
+        self._block_stiffness = _rect_stiffness(mx, my)
+        windows = sliding_window_view(nodes, (my + 1, mx + 1))[::my, ::mx]
+        self._block_nodes = windows.reshape(nb, -1).T
         self.block_dst = _interior_dst(mx, my)
 
         # tiles of sx by sy cells; a tile's interior is its (sy-1, sx-1)
@@ -266,13 +266,9 @@ class _Workspace:
         n_gamma = self._gamma.size
         gidx = np.full(nn, -1)
         gidx[inner[on_edge]] = np.arange(n_gamma)
-        # C[g, t] = 1 when interface node g and stacked tile-interior node t
-        # are axis neighbours: the coupling is -a_i C, a gather and a scatter
-        flat = tile_nodes.ravel()
-        nbr = gidx[flat[:, None] + np.array([1, -1, m + 1, -(m + 1)])]
-        t, d = np.nonzero(nbr >= 0)
-        self._coupling = sp.csr_matrix((np.ones(t.size), (nbr[t, d], t)),
-                                       shape=(n_gamma, flat.size))
+        # C = -K at a = 1 from the interface to the stacked tile interiors, 1
+        # for axis neighbours: the coupling is -a_i C, a gather and a scatter
+        self._coupling = -self.stiffness[inner[on_edge]][:, tile_nodes.ravel()]
         # C^T, built once: every solve scatters the interface back with it
         self._coupling_t = self._coupling.T.tocsr()
 
@@ -349,10 +345,10 @@ class _Workspace:
         with zero boundary data."""
         v = np.zeros(self.n_nodes)
         v[self.interior] = x
-        d = 0.5 * (v[self.tail] - v[self.head])
-        out = np.bincount(self._ends, weights=np.concatenate([d, -d]),
-                          minlength=self.n_nodes * self.n_blocks)
-        return out.reshape(self.n_nodes, self.n_blocks)[self.interior]
+        out = np.zeros((self.n_nodes, self.n_blocks))
+        nodes = self._block_nodes
+        out[nodes, np.arange(self.n_blocks)] = self._block_stiffness @ v[nodes]
+        return out[self.interior]
 
 
 @lru_cache(maxsize=16)
@@ -401,8 +397,8 @@ def grad_norm_by_block(u: np.ndarray, partition: Partition2D, m: int) -> np.ndar
     """|grad u|_{L2(D_i)} per block for a nodal field u on (m+1)^2 nodes."""
     ws = _workspace(partition.nx, partition.ny, m)
     v = _nodal_array(u, m, "u")
-    # half the squared leg difference per leg, h cancelling on right isosceles
-    # triangles; a cell's four edges are the legs of its two triangles
+    # a cell's energy is half the sum of its four squared edge differences,
+    # h cancelling on right isosceles triangles
     dx, dy = np.diff(v, axis=1), np.diff(v, axis=0)
     dx *= dx
     dy *= dy
@@ -447,7 +443,8 @@ def verify_pw_bound(
 
     Reports lhs = |a_i - b_i| |f|_{H^-1(D_i)}, rhs = Lam^2 |grad(u_a-u_b)|_{L2(D_i)}
     and the ratio lhs/rhs, which must not exceed 1 + SLACK_COEF/m. Lam defaults
-    to the largest coefficient present. block_hminus1 lets sweeps reuse the
+    to the largest coefficient present; given bounds, both coefficients must
+    lie in them, as the bound assumes. block_hminus1 lets sweeps reuse the
     f-only norms; it must be a finite, non-negative float array of shape
     (n_blocks,). Where such a norm is 0, lhs is 0 for every pair and the check
     is vacuous; notes lists those blocks. When every block is vacuous, nothing
@@ -455,6 +452,8 @@ def verify_pw_bound(
     """
     if a.partition != b.partition:
         raise ValueError("coefficient pair must share one partition")
+    if bounds is not None and not (bounds.admits(a.coeffs) and bounds.admits(b.coeffs)):
+        raise ValueError(f"coefficients outside [{bounds.lam}, {bounds.Lam}]")
     part = a.partition
     if block_hminus1 is not None and not (
         isinstance(block_hminus1, np.ndarray) and block_hminus1.dtype.kind == "f"
@@ -604,8 +603,7 @@ def recover_pw(
         Z[:, 0] = -u_flat
         Z[inner, 0] += x
         Z[inner, 1:] = -solve(ws.block_products(x))
-        D = Z[ws.tail] - Z[ws.head]
-        gram = 0.5 * (D.T @ D)
+        gram = Z.T @ (ws.stiffness @ Z)
         return max(gram[0, 0], 0.0), gram[1:, 0], gram[1:, 1:]
 
     J, g, G = linearize(coeffs)

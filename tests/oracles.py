@@ -7,10 +7,11 @@ block H^-1 norm is a dense solve of the 5-point stencil. The serialization
 oracles render one element at a time, with no column formatting or memo.
 The P1 triangle assembly is the 2D FEM written out per triangle: local
 stiffness and mass matrices scattered over each cell's two triangles, the
-stiffness summed over per-block matrices, with none of the leg arrays of
-coeffid.pw2d; its systems are solved by sparse LU of the whole stiffness
-matrix, and block H^-1 norms by sparse LU of the block's 5-point Laplacian,
-with none of the interface condensation or sine transforms of coeffid.pw2d.
+stiffness summed over per-block matrices, with none of the weighted edge
+sums of coeffid.pw2d; its systems are solved by sparse LU of the whole
+stiffness matrix, and block H^-1 norms by sparse LU of the block's 5-point
+Laplacian, with none of the interface condensation or sine transforms of
+coeffid.pw2d.
 The band measure is the per-cell overlap sum, one band per call, with none of
 the sorting and counting of coeffid.stability.k_rho_measure. The 1D
 flux-identity kernels are written out with a fresh array for every step, a
@@ -191,6 +192,18 @@ def p1_stiffness(coeffs, nx: int, ny: int, m: int) -> sp.csr_matrix:
         Kb = p1_assemble(tri[block == blk], _P1_STIFF, (m + 1) ** 2)[inner][:, inner]
         K = c * Kb if K is None else K + c * Kb
     return K.tocsr()
+
+
+def p1_block_stiffness(nx: int, ny: int, m: int, blk: int) -> np.ndarray:
+    """The P1 stiffness at a = 1 of one block's own triangles on the block's
+    closed nodes, row-major in y, as a dense array."""
+    tri, block = p1_triangles(nx, ny, m)
+    mx, my = m // nx, m // ny
+    by, bx = divmod(blk, nx)
+    nodes = np.arange((m + 1) ** 2).reshape(m + 1, m + 1)
+    closed = nodes[by * my : by * my + my + 1, bx * mx : bx * mx + mx + 1].ravel()
+    K = p1_assemble(tri[block == blk], _P1_STIFF, (m + 1) ** 2)
+    return K[closed][:, closed].toarray()
 
 
 def p1_mass(m: int) -> sp.csr_matrix:

@@ -824,9 +824,9 @@ _PINNED_DIGESTS = {
         "pw2d_verify.json": "88c2ec9d91f5f6b9",
     }),
     "pw2d recover": (0, {
-        "manifest.json": "7f8acb879cacca4a",
-        "pw2d_recover.csv": "deba16cc7b02ac5b",
-        "pw2d_recover.json": "1e5e3f83dc4b36c2",
+        "manifest.json": "8ae06225e2a51d7d",
+        "pw2d_recover.csv": "b34adf69904ebd2e",
+        "pw2d_recover.json": "f3af8e1b8e148143",
         "u_meas.json": "2b15789ed28a7d2c",
     }),
 }

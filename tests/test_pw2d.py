@@ -19,7 +19,7 @@ from coeffid.pw2d import (
     sweep_pw_bound,
     verify_pw_bound,
 )
-from coeffid.pw2d import _mass_load, _workspace
+from coeffid.pw2d import _mass_load, _rect_stiffness, _workspace
 
 import oracles
 from oracles import block_hminus1_dense, poisson_square_series
@@ -76,7 +76,8 @@ def random_case(nx, ny, m):
 @pytest.mark.parametrize("nx, ny", PARTITIONS)
 def test_stiffness_matches_triangle_assembly(nx, ny):
     # the block products K_i x, one column per block, against each block's
-    # triangle-assembled stiffness: the check on the leg data
+    # triangle-assembled stiffness: the check on the one block stiffness
+    # and on the scatter of its products into the block columns
     m = 24
     part = Partition2D(nx, ny)
     x = np.random.default_rng(nx + 3 * ny).standard_normal((m - 1) ** 2)
@@ -85,6 +86,13 @@ def test_stiffness_matches_triangle_assembly(nx, ny):
     for i, e_i in enumerate(np.eye(part.n_blocks)):
         want = oracles.p1_stiffness(e_i, nx, ny, m) @ x
         assert np.abs(got[:, i] - want).max() <= 1e-13 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("nx, ny, m", [(1, 1, 8), (4, 2, 24), (3, 2, 12), (1, 8, 24)])
+def test_rect_stiffness_is_the_triangle_assembly(nx, ny, m):
+    # every entry is a sum of halves, so the two assemblies agree exactly
+    want = oracles.p1_block_stiffness(nx, ny, m, 0)
+    assert np.array_equal(_rect_stiffness(m // nx, m // ny).toarray(), want)
 
 
 def test_loads_match_mass_product():
@@ -116,8 +124,8 @@ def test_grad_norm_matches_triangle_energies(nx, ny):
 
 @pytest.mark.parametrize("nx, ny", PARTITIONS)
 def test_grad_norm_of_linear_field_exact(nx, ny):
-    # every leg difference of x + 2y is h or 2h, so each block's energy is an
-    # exact sum: |grad u|^2 = 5 times the block area
+    # every edge difference of x + 2y is h or 2h, so each block's energy is
+    # an exact sum: |grad u|^2 = 5 times the block area
     u = as_nodal_field(lambda x, y: x + 2.0 * y, 64)
     got = grad_norm_by_block(u, Partition2D(nx, ny), 64)
     assert np.all(got == math.sqrt(5 * (1.0 / (nx * ny))))
@@ -347,6 +355,19 @@ def test_pw_bound_random_pairs_2x2():
         assert rep.passed
 
 
+@pytest.mark.parametrize("pair", [(1.0, 8.0), (8.0, 1.0), (0.25, 1.0)])
+def test_pw_bound_rejects_pairs_outside_its_bounds(pair, monkeypatch):
+    # Lam = bounds.Lam assumes both coefficients lie in the bounds: a pair
+    # outside them is refused before any solve, not reported as a failure
+    def no_solve(*args):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr("coeffid.pw2d.fem_solve", no_solve)
+    a, b = (const_coeff(c) for c in pair)
+    with pytest.raises(ValueError, match=r"outside \[0.5, 2.0\]"):
+        verify_pw_bound(a, b, 1.0, 16, bounds=BOUNDS)
+
+
 def test_pw_bound_partition_mismatch():
     with pytest.raises(ValueError, match="partition"):
         verify_pw_bound(const_coeff(1.0), const_coeff(1.0, Partition2D(2, 2)), 1.0, 32)
@@ -437,6 +458,21 @@ def test_recover_noisy_data_error_near_noise_level():
     assert res.sweeps == 4
     assert BOUNDS.admits(res.coeff.coeffs)
     assert np.abs(res.coeff.coeffs - truth.coeffs).max() <= 1e-2
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_recover_objective_is_the_edge_energy_of_the_misfit(n):
+    # the Gauss-Newton misfit Z^T K Z against the edge-difference energy of
+    # grad_norm_by_block: 2x2 factors S(a) densely, 4x4 by sparse LU
+    part, m = Partition2D(n, n), 32
+    truth = PwConstCoefficient(part, np.random.default_rng(n).uniform(0.6, 1.9, part.n_blocks))
+    u = fem_solve(truth, 1.0, m)
+    z = np.random.default_rng(2024).standard_normal(u.shape)
+    u_meas = u * (1.0 + 1e-3 * z / np.sqrt(np.mean(z * z)))
+    res = recover_pw(u_meas, 1.0, part, BOUNDS, m)
+    assert res.converged and res.objective > 0.0
+    want = math.sqrt(np.sum(grad_norm_by_block(fem_solve(res.coeff, 1.0, m) - u_meas, part, m) ** 2))
+    assert res.objective == pytest.approx(want, rel=1e-10)
 
 
 def test_recover_truth_on_lower_bound_stays_admissible():

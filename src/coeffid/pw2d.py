@@ -29,13 +29,14 @@ DST-I diagonalizes. Linear solves condense those interiors: each block is
 split into near-square tiles (the block itself unless it is elongated), the
 unknowns on tile edges form the interface, and its Schur complement
 S(a) = sum_i a_i S_loc is one fixed local complement S_loc, the same for every
-tile, scaled and summed into a fixed sparse pattern. A solve is one factor
-of S(a) and two batched DST-I solves, dense products with the transform
-matrices, over the stack of tile interiors; a factor serves every right-hand
-side that shares its coefficient. S(a) is factored by dense Cholesky when the
-tile grid has at most DENSE_MAX_TILES tiles, where it is mostly dense, and by
-sparse LU otherwise. Block H^-1 norms read sum s_pq^2 / lambda_pq off one
-DST-I over the stack of block loads.
+tile, scaled and summed into a fixed pattern. With the interface numbered
+row-major, a tile couples only the nodes of its own grid rows, so S(a) is a
+band of half-width about m + (sy-1)(tx-1) + sx for sx by sy cell tiles, tx
+per row; it is kept as its lower band and factored in place by banded
+Cholesky. A solve is one factor of S(a) and two batched DST-I solves, dense products
+with the transform matrices, over the stack of tile interiors; a factor
+serves every right-hand side that shares its coefficient. Block H^-1 norms
+read sum s_pq^2 / lambda_pq off one DST-I over the stack of block loads.
 """
 
 from __future__ import annotations
@@ -47,8 +48,7 @@ from functools import lru_cache, partial
 import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import cho_factor, cho_solve
-from scipy.sparse.linalg import splu
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .grids import CoefficientBounds, json_count, json_fields
 from .report import ExperimentReport
@@ -69,15 +69,6 @@ __all__ = [
 SLACK_COEF = 5.0
 MAX_SWEEPS = 50
 SWEEP_TOL = 1e-10
-# S(a) is factored by dense Cholesky on at most this many tiles and by sparse
-# LU on more. On 2x2 tiles S(a) is 74% dense; one factor (2 vCPU, min of 7)
-# took 0.59 ms against SuperLU's 2.71 ms at m = 128 (n_gamma = 253), and
-# 12.6 against 85.1 ms at m = 512. Dense Cholesky wins up to about 25 tiles
-# (4x4 at m = 128: 5.95 against 9.37 ms; 8x8 at m = 128: 41.6 against
-# 17.8 ms), but its n_gamma^2 array and the BLAS buffers of a first large
-# potrf cost memory: at 16 here, the perfbench pw2d_verify sweeps, which
-# include 4x4 at m = 128, peaked at 104.9 MB RSS against 99.2 MB at 4.
-DENSE_MAX_TILES = 4
 
 
 @dataclass(frozen=True)
@@ -273,57 +264,41 @@ class _Workspace:
         self._coupling_t = self._coupling.T.tocsr()
 
         # S(a) = sum over tiles of a_i S_loc restricted to the interface, a
-        # fixed pattern whose values are _s_map @ a_tile: column t of the map
-        # holds tile t's entries of S_loc, each in the row of its slot. A dense
-        # S(a) keeps each slot's flat position row * n_gamma + col, a sparse
-        # one its CSR arrays
+        # band of half-width b. Its lower band is _s_map @ a_tile: column t of
+        # the map holds tile t's entries of S_loc, entry (row, col) at
+        # col * (b+1) + row - col of an (n_gamma, b+1) array, whose transpose
+        # is LAPACK's lower band storage in Fortran order
         if n_gamma:
             S_loc, bx, by = _local_complement(sx, sy, self.tile_dst)
             corner = ((np.arange(ty) * sy)[:, None] * (m + 1) + np.arange(tx) * sx).ravel()
             tile_boundary = gidx[corner[:, None] + by * (m + 1) + bx]
             r, c = np.nonzero(S_loc)
             rows, cols = tile_boundary[:, r], tile_boundary[:, c]
-            keep = (rows >= 0) & (cols >= 0)
-            keys, slot = np.unique(rows[keep] * n_gamma + cols[keep], return_inverse=True)
+            keep = (cols >= 0) & (rows >= cols)
+            below = rows[keep] - cols[keep]
+            b = int(below.max())
             indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))])
-            self._s_map = sp.csc_matrix((S_loc[r, c][np.nonzero(keep)[1]], slot, indptr),
-                                        shape=(keys.size, tx * ty))
-            if tx * ty <= DENSE_MAX_TILES:
-                self._s_flat = keys.astype(np.int32)
-            else:
-                self._s_flat = None
-                self._s_indices = (keys % n_gamma).astype(np.int32)
-                self._s_indptr = np.searchsorted(
-                    keys, np.arange(n_gamma + 1) * n_gamma).astype(np.int32)
+            self._s_map = sp.csc_matrix((S_loc[r, c][np.nonzero(keep)[1]],
+                                         cols[keep] * (b + 1) + below, indptr),
+                                        shape=(n_gamma * (b + 1), tx * ty))
 
     def solver(self, coeffs: np.ndarray):
         """K(a)^-1 as a function of interior right-hand sides, one vector or
-        one per column. It factors S(a) once, by dense Cholesky on at most
-        DENSE_MAX_TILES tiles and by sparse LU on more; each call solves L on
-        the tile interiors (y = L^-1 b_I, independent of a), the interface
-        from S(a) u_G = b_G + C y, and the interiors u_I = y/a_i + L^-1 C^T u_G.
-        S(a) is positive definite for positive coefficients; where it is not,
-        the dense factor raises LinAlgError."""
+        one per column. It factors the band of S(a) once by banded Cholesky;
+        each call solves L on the tile interiors (y = L^-1 b_I, independent
+        of a), the interface from S(a) u_G = b_G + C y, and the interiors
+        u_I = y/a_i + L^-1 C^T u_G. S(a) is positive definite for positive
+        coefficients; where it is not, the factor raises LinAlgError."""
         a_tile = coeffs[self._tile_block]
         n_gamma = self._gamma.size
         solve_interface = np.asarray  # no interface: a single tile
         if n_gamma:
-            # the map adds each slot's contributions in tile order
-            values = self._s_map @ a_tile
-            if self._s_flat is not None:
-                # S(a) is symmetric, so the transpose of its row-major array
-                # is S(a) in Fortran order, which potrf factors in place
-                S = np.zeros(n_gamma * n_gamma)
-                S[self._s_flat] = values
-                factor = cho_factor(S.reshape(n_gamma, n_gamma).T, lower=True,
-                                    overwrite_a=True, check_finite=False)
-                solve_interface = partial(cho_solve, factor, check_finite=False)
-            else:
-                # S(a) is symmetric, so its CSR arrays are its CSC arrays
-                S = sp.csc_matrix((values, self._s_indices, self._s_indptr),
-                                  shape=(n_gamma, n_gamma))
-                solve_interface = splu(S, permc_spec="MMD_AT_PLUS_A",
-                                       options={"SymmetricMode": True}).solve
+            # the map adds each slot's contributions in tile order, and pbtrf
+            # factors the Fortran-ordered band in place
+            band = (self._s_map @ a_tile).reshape(n_gamma, -1).T
+            factor = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
+            solve_interface = partial(cho_solve_banded, (factor, True), overwrite_b=True,
+                                      check_finite=False)
 
         def solve(rhs: np.ndarray) -> np.ndarray:
             # one right-hand side per row of rhs.T: every stack is
@@ -560,16 +535,17 @@ def recover_pw(
     exact data outright. Projected Gauss-Newton steps on the output misfit
     then keep the result stable under noise. Each step factors the interface
     complement S(a) once and reads the state and all block sensitivities
-    -K^{-1} K_i u off that factor; a step that raises the misfit is halved.
-    Steps stop, converged, when the misfit falls by at most SWEEP_TOL
-    relative to its value or the step is below 1e-12; after MAX_SWEEPS steps
-    the result carries a warning. A non-finite u_meas is rejected. The data
-    decide identifiability: when the equation-error matrix [K_i u] is rank
-    deficient (fewer interior nodes than blocks, as when every block is one
-    cell; smallest singular value at most 1e-12 times the largest; or the
-    matrix is zero), some block's column lies in the span of the others and
-    its constant is not determined; the result then holds midpoint values
-    and a warning.
+    -K^{-1} K_i u off that factor; a step that raises the misfit by more
+    than SWEEP_TOL relative to its value is halved. Steps stop, converged,
+    when the misfit falls by at most SWEEP_TOL relative, or rises by at most
+    that (rounding, and the step is not taken), or the step is below 1e-12;
+    after MAX_SWEEPS steps the result carries a warning. A non-finite u_meas
+    is rejected. The data decide identifiability: when the equation-error
+    matrix [K_i u] is rank deficient (fewer interior nodes than blocks, as
+    when every block is one cell; smallest singular value at most 1e-12
+    times the largest; or the matrix is zero), some block's column lies in
+    the span of the others and its constant is not determined; the result
+    then holds midpoint values and a warning.
     """
     ws = _workspace(partition.nx, partition.ny, m)
     # LAPACK would print to stderr on a NaN before lstsq raises
@@ -615,7 +591,8 @@ def recover_pw(
             trial = np.clip(coeffs + delta, bounds.lam, bounds.Lam)
             step = float(np.abs(trial - coeffs).max())
             J_new, g_new, G_new = linearize(trial)
-            if J_new <= J or step < 1e-12:
+            # a rise within SWEEP_TOL is rounding: the step has settled
+            if J_new - J <= SWEEP_TOL * J or step < 1e-12:
                 break
             delta = 0.5 * delta
         settled = J - J_new <= SWEEP_TOL * J or step < 1e-12

@@ -697,8 +697,7 @@ def _sha16(path):
 # exit code and sha256 (first 16 hex digits) of every file each small --out
 # run writes, taken from the element-by-element renderer (tests/oracles.py).
 # The inputs are polynomials, but the values still pass through numpy and
-# LAPACK/SuperLU, so a platform whose kernels round differently can move a
-# digest.
+# LAPACK, so a platform whose kernels round differently can move a digest.
 _PINNED_RUNS = {
     "forward": ["forward", "--a", "linear:1,0.5", "--f", "const:1.5", "--n", "64"],
     "forward json": ["forward", "--a", "linear:1,0.5", "--f", "const:1.5", "--n", "64",
@@ -819,15 +818,15 @@ _PINNED_DIGESTS = {
         "manifest.json": "77b2726271f45950",
     }),
     "pw2d verify": (0, {
-        "manifest.json": "1d9844842b49d5d7",
-        "pw2d_verify.csv": "a15677226400d9ff",
-        "pw2d_verify.json": "88c2ec9d91f5f6b9",
+        "manifest.json": "57d2ef3acdd4425b",
+        "pw2d_verify.csv": "a647b1f9b4f57220",
+        "pw2d_verify.json": "3d494ba3d7e73e7a",
     }),
     "pw2d recover": (0, {
-        "manifest.json": "8ae06225e2a51d7d",
-        "pw2d_recover.csv": "b34adf69904ebd2e",
-        "pw2d_recover.json": "f3af8e1b8e148143",
-        "u_meas.json": "2b15789ed28a7d2c",
+        "manifest.json": "cd531569296a40a0",
+        "pw2d_recover.csv": "b1894490f91f5f27",
+        "pw2d_recover.json": "4874829648ea87a8",
+        "u_meas.json": "f7b96c469c3727bf",
     }),
 }
 

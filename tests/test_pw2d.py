@@ -19,7 +19,9 @@ from coeffid.pw2d import (
     sweep_pw_bound,
     verify_pw_bound,
 )
-from coeffid.pw2d import _mass_load, _rect_stiffness, _workspace
+from coeffid import pw2d
+from coeffid.pw2d import (_Workspace, _local_complement, _mass_load, _rect_stiffness, _tile_side,
+                          _workspace)
 
 import oracles
 from oracles import block_hminus1_dense, poisson_square_series
@@ -31,9 +33,9 @@ PARTITIONS = [(1, 1), (2, 2), (4, 2), (4, 4)]
 # blocks, tiles wider than tall and taller than wide (3x2 and 2x3 at m = 12),
 # blocks one cell wide with no interior (4x4 at m = 4), elongated blocks split
 # into tiles (1x4 at m = 8, 1x8 at m = 24), and many small blocks. The
-# interface is factored densely on 2x2 at m = 72 (4 tiles, n_gamma = 141,
-# against 29 at m = 8) and by sparse LU on 3x3 at m = 48 (9 tiles,
-# n_gamma = 184)
+# interface band runs from n_gamma = 9 (4x4 at m = 4, half-width 3) to 1665
+# (16x16 at m = 64, half-width 110); on 2x2 at m = 72 (n_gamma = 141,
+# half-width 105) it is nearly dense
 ORACLE_CASES = [(1, 1, 9), (2, 2, 8), (4, 2, 8), (3, 3, 9), (3, 2, 12), (2, 3, 12), (4, 4, 4),
                 (1, 4, 8), (1, 8, 24), (16, 16, 64), (2, 2, 72), (3, 3, 48)]
 
@@ -171,16 +173,47 @@ def test_hminus1_matches_lu_oracle(nx, ny, m):
     assert np.abs(got - want).max() <= 1e-10 * want.max()
 
 
-@pytest.mark.parametrize("nx, ny, m, dense", [(2, 2, 72, True), (2, 1, 16, True),
-                                              (3, 3, 48, False), (16, 16, 64, False)])
-def test_interface_factor_follows_the_tile_count(nx, ny, m, dense):
-    # dense Cholesky on at most four tiles, sparse LU on more
-    assert (_workspace(nx, ny, m)._s_flat is not None) == dense
+@pytest.mark.parametrize("nx, ny, m", [(2, 2, 16), (4, 4, 32), (4, 2, 48), (1, 32, 64)])
+def test_interface_band_holds_s_exactly(nx, ny, m, monkeypatch):
+    # the band the solver factors, unpacked, against a dense sum of
+    # a_t S_loc over the tiles in tile order; pbtrf overwrites it in place
+    factored, cholesky_banded = [], pw2d.cholesky_banded
+
+    def spy(ab, **kwargs):
+        factored.append((ab.copy(), ab, cholesky_banded(ab, **kwargs)))
+        return factored[-1][2]
+
+    monkeypatch.setattr(pw2d, "cholesky_banded", spy)
+    ws = _workspace(nx, ny, m)
+    a = np.random.default_rng(m).uniform(0.5, 2.0, nx * ny)
+    ws.solver(a)
+    (band, ab, factor), = factored
+    assert ab.flags.f_contiguous and np.shares_memory(factor, ab)
+
+    n = ws._gamma.size
+    slot = np.full((m + 1, m + 1), -1)
+    iy, ix = np.divmod(ws._gamma, m - 1)
+    slot[iy + 1, ix + 1] = np.arange(n)
+    sx, sy = _tile_side(ws.mx, ws.my), _tile_side(ws.my, ws.mx)
+    S_loc, bx, by = _local_complement(sx, sy, ws.tile_dst)
+    want = np.zeros((n, n))
+    for t, (ty, tx) in enumerate(np.ndindex(m // sy, m // sx)):
+        g = slot[ty * sy + by, tx * sx + bx]
+        on = g >= 0
+        want[np.ix_(g[on], g[on])] += a[ws._tile_block[t]] * S_loc[np.ix_(on, on)]
+
+    lower = np.zeros((n, n))
+    for d, diagonal in enumerate(band):
+        assert not diagonal[n - d:].any()
+        lower[np.arange(d, n), np.arange(n - d)] = diagonal[:n - d]
+    assert np.array_equal(lower + np.tril(lower, -1).T, want)
 
 
 def test_dense_interface_factor_raises_when_not_positive_definite():
-    with pytest.raises(np.linalg.LinAlgError):
-        _workspace(2, 2, 8).solver(np.full(4, -1.0))
+    # on 4 and on 16 tiles
+    for nx, ny, m in [(2, 2, 8), (4, 4, 16)]:
+        with pytest.raises(np.linalg.LinAlgError):
+            _workspace(nx, ny, m).solver(np.full(nx * ny, -1.0))
 
 
 @pytest.mark.parametrize("nx, ny", [(1, 32), (32, 1), (4, 4)])
@@ -460,10 +493,29 @@ def test_recover_noisy_data_error_near_noise_level():
     assert np.abs(res.coeff.coeffs - truth.coeffs).max() <= 1e-2
 
 
+def test_recover_stops_on_a_rounding_rise(monkeypatch):
+    # the last Gauss-Newton step of this noisy recovery raises the misfit by
+    # about 1e-13 relative, which is rounding; halving it until the misfit
+    # fell would take 11 more factors of S(a). A rise within SWEEP_TOL ends
+    # the step, so every factor is the start or one step
+    part, m = Partition2D(2, 2), 8
+    rng = np.random.default_rng(2)
+    truth = PwConstCoefficient(part, rng.uniform(0.6, 1.9, part.n_blocks))
+    z = rng.standard_normal((m + 1, m + 1))
+    u_noisy = fem_solve(truth, 1.0, m) * (1.0 + 1e-3 * z / np.sqrt(np.mean(z * z)))
+    factors = []
+    solver = _Workspace.solver
+    monkeypatch.setattr(_Workspace, "solver", lambda ws, c: factors.append(c) or solver(ws, c))
+    res = recover_pw(u_noisy, 1.0, part, BOUNDS, m)
+    assert res.converged
+    assert res.sweeps == 3
+    assert len(factors) == res.sweeps + 1
+
+
 @pytest.mark.parametrize("n", [2, 4])
 def test_recover_objective_is_the_edge_energy_of_the_misfit(n):
     # the Gauss-Newton misfit Z^T K Z against the edge-difference energy of
-    # grad_norm_by_block: 2x2 factors S(a) densely, 4x4 by sparse LU
+    # grad_norm_by_block, on 4 and on 16 tiles
     part, m = Partition2D(n, n), 32
     truth = PwConstCoefficient(part, np.random.default_rng(n).uniform(0.6, 1.9, part.n_blocks))
     u = fem_solve(truth, 1.0, m)
